@@ -161,20 +161,21 @@ def product_chain(
         return tuple(((w, mx2, mn2), p) for w, p in rows)
 
     start = {v: (v, sigma.initial, tau.initial) for v in starts}
-    states: list[State] = []
+    # breadth-first: `states` doubles as the queue, read up to index i
+    states: list[State] = [start[v] for v in starts]
     transitions: dict[State, tuple[tuple[State, Fraction], ...]] = {}
     label: dict[State, int] = {}
-    queue = [start[v] for v in starts]
-    seen = set(queue)
-    while queue:
-        s = queue.pop(0)
-        states.append(s)
+    seen = set(states)
+    i = 0
+    while i < len(states):
+        s = states[i]
+        i += 1
         label[s] = g.priority(s[0])
         transitions[s] = expand(s)
         for t, _ in transitions[s]:
             if t not in seen:
                 seen.add(t)
-                queue.append(t)
+                states.append(t)
     return ProductChain(tuple(states), transitions, label, start)
 
 
@@ -196,7 +197,14 @@ def _absorption(
     transitions: dict,
     target: frozenset,
 ) -> dict:
-    """P(reach target) for every state; target must be closed."""
+    """P(reach target) for every state; target must be closed.
+
+    A state whose only positive-probability edge is one edge of
+    probability 1 is forced: it takes the value of the first state along
+    its forced path that is a target, cannot reach the target, or
+    branches. Only the branching states that can reach the target are
+    unknowns of the linear system.
+    """
     preds: dict = {s: [] for s in states}
     for s in states:
         for t, p in transitions[s]:
@@ -211,7 +219,31 @@ def _absorption(
                 reach.add(r)
                 queue.append(r)
 
-    unknown = [s for s in states if s in reach and s not in target]
+    forced: dict = {}
+    for s in states:
+        row = [(t, p) for t, p in transitions[s] if p != 0]
+        if len(row) == 1 and row[0][1] == 1:
+            forced[s] = row[0][0]
+
+    # A forced path from a state that reaches the target stays among such
+    # states until it meets the target or a branching state: its one
+    # successor is the only way on. A forced cycle closes off the target,
+    # so no state on it is in `reach` and the walk below always ends.
+    end: dict = {}
+
+    def follow(s):
+        path = []
+        while s in forced and s in reach and s not in target and s not in end:
+            path.append(s)
+            s = forced[s]
+        last = end.get(s, s)
+        for r in path:
+            end[r] = last
+        return last
+
+    unknown = [
+        s for s in states if s in reach and s not in target and s not in forced
+    ]
     pos = {s: i for i, s in enumerate(unknown)}
     n = len(unknown)
     matrix = [[Fraction(0)] * n for _ in range(n)]
@@ -220,6 +252,7 @@ def _absorption(
         i = pos[s]
         matrix[i][i] += 1
         for t, p in transitions[s]:
+            t = follow(t)
             if t in target:
                 rhs[i] += p
             elif t in pos:
@@ -228,10 +261,11 @@ def _absorption(
 
     out: dict = {}
     for s in states:
-        if s in target:
+        t = follow(s)
+        if t in target:
             out[s] = Fraction(1)
-        elif s in pos:
-            out[s] = solved[pos[s]]
+        elif t in pos:
+            out[s] = solved[pos[t]]
         else:
             out[s] = Fraction(0)
     return out

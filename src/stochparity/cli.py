@@ -50,6 +50,7 @@ from .mealy import (
     validate_strategy,
 )
 from .resets import (
+    QualityTable,
     deviation_bound,
     deviation_probability,
     lower_value,
@@ -155,9 +156,13 @@ def _report(name: str, ok: bool, detail: str, failures: list) -> None:
 
 def _verify_candidates(
     g: GameGraph, pruned: GameGraph, sol: Solution, cap: int
-) -> list[MealyStrategy]:
-    """sigma_star plus stubborn one-edge deviations that stay (m/4)-optimal."""
-    out = [sol.sigma_star]
+) -> list[tuple[MealyStrategy, QualityTable]]:
+    """sigma_star plus stubborn one-edge deviations that stay (m/4)-optimal.
+
+    Each candidate comes with its quality table on the pruned game, built
+    once here (the gap test needs it) and reused by every later check.
+    """
+    out = [(sol.sigma_star, quality_table(pruned, sol.sigma_star, cap))]
     if sol.m == math.inf:
         return out
     moves = {v: sol.sigma_star.move("m0", v) for v in g.owned_by(Owner.MAX)}
@@ -172,8 +177,9 @@ def _verify_candidates(
                 if budget == 0:
                     return out
                 cand = stubborn_strategy(g, moves, bad, pivot, k)
-                if optimality_gap(pruned, cand, sol.values, cap) <= sol.m / 4:
-                    out.append(cand)
+                q = quality_table(pruned, cand, cap)
+                if optimality_gap(pruned, cand, sol.values, quality=q) <= sol.m / 4:
+                    out.append((cand, q))
                     budget -= 1
     return out
 
@@ -245,13 +251,13 @@ def cmd_verify(args) -> int:
 
     ok = True
     detail = ""
-    for sigma in candidates:
-        eps = optimality_gap(pruned, sigma, sol.values, args.cap)
+    for sigma, q in candidates:
+        eps = optimality_gap(pruned, sigma, sol.values, quality=q)
         bound = deviation_bound(eps, sol.m)
         for tau in taus:
             for v in pruned.vertex_ids:
                 p = deviation_probability(
-                    pruned, sigma, tau, sol.values, sol.m, v, args.cap
+                    pruned, sigma, tau, sol.values, sol.m, v, quality=q
                 )
                 if p > bound:
                     ok = False
@@ -266,14 +272,17 @@ def cmd_verify(args) -> int:
     ok = True
     settled = True
     detail = sdetail = ""
-    for sigma in candidates:
+    for sigma, q in candidates:
         try:
-            rs = reset_transform(pruned, sigma, sol.values, sol.m, args.cap)
+            rs = reset_transform(pruned, sigma, sol.values, sol.m, quality=q)
         except StrategyError:
             # the base strategy plays a pruned edge from a pair that does
             # not reset; such machines are outside the transform's domain
             continue
-        lo = lower_value(pruned, rs.strategy, args.cap)
+        # with no reset pairs the compiled machine is the base machine
+        lo = lower_value(
+            pruned, rs.strategy, args.cap, quality=None if rs.reset_pairs else q
+        )
         if lo != sol.values:
             ok = False
             detail = f"reset strategy guarantees {lo}, values are {sol.values}"
@@ -312,8 +321,9 @@ def cmd_deviation_prob(args) -> int:
     sigma = _load_strategy(args.strategy, g, Owner.MAX)
     tau = _load_strategy(args.tau, g, Owner.MIN)
     sol = solve_game(g, cap=args.cap)
-    eps = optimality_gap(g, sigma, sol.values, args.cap)
-    p = deviation_probability(g, sigma, tau, sol.values, sol.m, args.start, args.cap)
+    q = quality_table(g, sigma, args.cap)
+    eps = optimality_gap(g, sigma, sol.values, quality=q)
+    p = deviation_probability(g, sigma, tau, sol.values, sol.m, args.start, quality=q)
     bound = deviation_bound(eps, sol.m)
     print(f"epsilon={_fmt(eps, args.decimal)}")
     print(f"m={format_rational(sol.m)}")
@@ -330,8 +340,12 @@ def cmd_reset(args) -> int:
         raise InvalidThresholdError("m = inf: every value is zero, nothing to repair")
     pruned = prune_superfluous(g, sol.values)
     rs = reset_transform(pruned, sigma, sol.values, sol.m, args.cap)
-    before = lower_value(g, sigma, cap=args.cap)
-    after = lower_value(g, rs.strategy, cap=args.cap)
+    # the transform's table is sigma's on g too when pruning removed nothing,
+    # and with no reset pairs the compiled machine is sigma itself
+    before = lower_value(
+        g, sigma, args.cap, quality=rs.quality if pruned == g else None
+    )
+    after = lower_value(g, rs.strategy, args.cap) if rs.reset_pairs else before
     for v in g.vertex_ids:
         print(
             f"{v}={_fmt(before[v], args.decimal)} -> {_fmt(after[v], args.decimal)}"
@@ -366,6 +380,7 @@ def cmd_simulate(args) -> int:
             args.seed,
             horizon=args.horizon,
             workers=args.workers,
+            cap=args.cap,
         )
         estimate, stderr = stats.empirical_p, _stderr(stats.empirical_p, stats.n)
         truncated = stats.truncated

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .chains import _absorption, mdp_table, product_chain
+from .chains import ProductChain, State, _absorption, mdp_table, product_chain
 from .errors import (
     InconsistentGameError,
     InvalidThresholdError,
@@ -51,9 +51,35 @@ def quality_table(
     return mdp_table(g, sigma, Owner.MIN, cap)
 
 
-def lower_value(g: GameGraph, sigma: MealyStrategy, cap: int = 2**20) -> ValueMap:
-    """What a Max strategy guarantees from each vertex at initial memory."""
-    table = quality_table(g, sigma, cap)
+def _table(
+    g: GameGraph, sigma: MealyStrategy, cap: int, quality: QualityTable | None
+) -> QualityTable:
+    """`quality` if it is a table for (g, sigma), else a freshly built one."""
+    if quality is None:
+        return quality_table(g, sigma, cap)
+    pairs = {(v, mem) for v in g.vertex_ids for mem in sigma.memory_states}
+    if quality.keys() != pairs:
+        raise ValueError(
+            "quality table does not match the game's (vertex, memory) pairs"
+        )
+    return quality
+
+
+def lower_value(
+    g: GameGraph,
+    sigma: MealyStrategy,
+    cap: int = 2**20,
+    *,
+    quality: QualityTable | None = None,
+) -> ValueMap:
+    """What a Max strategy guarantees from each vertex at initial memory.
+
+    `quality`, if given, must be sigma's quality table on g (as built by
+    `quality_table`); it is used instead of building the table again. A
+    table whose keys are not the (vertex, memory) pairs of (g, sigma)
+    raises ValueError.
+    """
+    table = _table(g, sigma, cap, quality)
     return {v: table[(v, sigma.initial)] for v in g.vertex_ids}
 
 
@@ -66,10 +92,19 @@ def upper_value(g: GameGraph, tau: MealyStrategy, cap: int = 2**20) -> ValueMap:
 
 
 def optimality_gap(
-    g: GameGraph, sigma: MealyStrategy, vals: ValueMap, cap: int = 2**20
+    g: GameGraph,
+    sigma: MealyStrategy,
+    vals: ValueMap,
+    cap: int = 2**20,
+    *,
+    quality: QualityTable | None = None,
 ) -> Fraction:
-    """Largest shortfall of sigma's guarantee below the game value."""
-    lo = lower_value(g, sigma, cap)
+    """Largest shortfall of sigma's guarantee below the game value.
+
+    `quality` is sigma's quality table on g, used instead of building it
+    again; see `lower_value`.
+    """
+    lo = lower_value(g, sigma, cap, quality=quality)
     return max(vals[v] - lo[v] for v in g.vertex_ids)
 
 
@@ -120,10 +155,16 @@ def deviation_states(
     vals: ValueMap,
     m: Union[Fraction, float],
     cap: int = 2**20,
+    *,
+    quality: QualityTable | None = None,
 ) -> frozenset[tuple[str, str]]:
-    """All (vertex, memory) pairs whose quality is at or below val - m/2."""
+    """All (vertex, memory) pairs whose quality is at or below val - m/2.
+
+    `quality` is sigma's quality table on g, used instead of building it
+    again; see `lower_value`.
+    """
     m = _check_threshold(m)
-    q = quality_table(g, sigma, cap)
+    q = _table(g, sigma, cap, quality)
     return frozenset(
         (v, mem) for (v, mem), x in q.items() if x <= vals[v] - m / 2
     )
@@ -137,23 +178,43 @@ def deviation_probability(
     m: Union[Fraction, float],
     start: str,
     cap: int = 2**20,
+    *,
+    quality: QualityTable | None = None,
 ) -> Fraction:
     """Exact probability that a play from `start` ever hits a deviated pair.
 
     Computed on the product chain with every deviated state made
     absorbing, so a play that would only deviate after falling into a
-    recurrent class still counts at the moment it first does.
+    recurrent class still counts at the moment it first does. `quality`
+    is sigma's quality table on g, used instead of building it again;
+    see `lower_value`.
     """
     m = _check_threshold(m)
-    dev = deviation_states(g, sigma, vals, m, cap)
+    dev = deviation_states(g, sigma, vals, m, cap, quality=quality)
+    chain, absorbing = _deviation_chain(g, sigma, tau, dev, start)
+    hit = _absorption(chain.states, chain.transitions, absorbing)
+    return hit[chain.start[start]]
+
+
+def _deviation_chain(
+    g: GameGraph,
+    sigma: MealyStrategy,
+    tau: MealyStrategy,
+    dev: frozenset[tuple[str, str]],
+    start: str,
+) -> tuple[ProductChain, frozenset[State]]:
+    """The chain from `start` with every state on a deviated pair made absorbing.
+
+    Returns the chain, whose deviated states loop to themselves with
+    probability 1, and the set of those states.
+    """
     chain = product_chain(g, sigma, tau, [start])
     absorbing = frozenset(s for s in chain.states if (s[0], s[1]) in dev)
     trans = {
         s: (((s, Fraction(1)),) if s in absorbing else chain.transitions[s])
         for s in chain.states
     }
-    hit = _absorption(chain.states, trans, absorbing)
-    return hit[chain.start[start]]
+    return ProductChain(chain.states, trans, chain.label, chain.start), absorbing
 
 
 @dataclass
@@ -179,6 +240,8 @@ def reset_transform(
     vals: ValueMap,
     m: Union[Fraction, float],
     cap: int = 2**20,
+    *,
+    quality: QualityTable | None = None,
 ) -> ResetStrategy:
     """Compile the memory-reset repair of a Max strategy on a consistent game.
 
@@ -189,7 +252,9 @@ def reset_transform(
     reset. The base machine may reference edges absent from `g` (for
     instance, pruned ones) as long as every pair that would play such
     an edge triggers a reset; otherwise the compiled machine would be
-    unrealizable here, which raises StrategyError.
+    unrealizable here, which raises StrategyError. `quality` is sigma's
+    quality table on g, used instead of building it again; see
+    `lower_value`.
     """
     if sigma.player is not Owner.MAX:
         raise StrategyError("reset transform is defined for Max strategies")
@@ -206,7 +271,7 @@ def reset_transform(
             "game has controlled edges that change the value; prune first"
         )
 
-    q = quality_table(g, sigma, cap)
+    q = _table(g, sigma, cap, quality)
     reset_pairs = frozenset(
         (v, mem) for (v, mem), x in q.items() if x < vals[v] - m / 2
     )

@@ -34,7 +34,7 @@ from .chains import Outcome, ProductChain, product_chain
 from .errors import SimulationError
 from .game import GameGraph
 from .mealy import MealyStrategy
-from .resets import deviation_states
+from .resets import _deviation_chain, deviation_states
 from .values import ValueMap
 
 _MASK64 = (1 << 64) - 1
@@ -251,6 +251,7 @@ def simulate_deviations(
     seed: int,
     horizon: int = 10_000,
     workers: int = 1,
+    cap: int = 2**20,
 ) -> DeviationStats:
     """Empirical deviation frequency and a histogram of first-deviation dates.
 
@@ -259,24 +260,15 @@ def simulate_deviations(
     time it sits on a pair whose quality is at or below val - m/2. The
     histogram maps the first-deviation step index to its count over the
     deviated plays. Truncated plays count as non-deviated and are
-    reported.
+    reported. `cap` bounds the policy enumeration of sigma's quality
+    table, as in `deviation_states`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    dev_pairs = deviation_states(g, sigma, vals, m)
-    chain = product_chain(g, sigma, tau, [start])
-    absorbing = frozenset(s for s in chain.states if (s[0], s[1]) in dev_pairs)
-    chain = ProductChain(
-        chain.states,
-        {
-            s: (((s, Fraction(1)),) if s in absorbing else chain.transitions[s])
-            for s in chain.states
-        },
-        chain.label,
-        chain.start,
-    )
+    dev_pairs = deviation_states(g, sigma, vals, m, cap)
+    chain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, start)
     sampler = _Sampler(chain, start)
     dev_idx = frozenset(
         i for i, s in enumerate(chain.states) if s in absorbing

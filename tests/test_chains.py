@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,12 @@ from stochparity import (
     memoryless,
     product_chain,
     random_game,
+    stubborn_strategy,
 )
+from stochparity import chains
 from stochparity import fixtures as fx
+from stochparity.linalg import solve_linear
+from test_acceptance import corpus_games
 
 H = Fraction(1, 2)
 
@@ -300,3 +305,176 @@ def validate_ok(g, s):
     from stochparity import validate_strategy
 
     return validate_strategy(g, s) == []
+
+
+def dense_absorption(states, transitions, target):
+    """Reference: every state that can reach the target is an unknown."""
+    preds = {s: [] for s in states}
+    for s in states:
+        for t, p in transitions[s]:
+            if p != 0:
+                preds[t].append(s)
+    reach = set(target)
+    queue = list(target)
+    while queue:
+        for r in preds[queue.pop()]:
+            if r not in reach:
+                reach.add(r)
+                queue.append(r)
+    unknown = [s for s in states if s in reach and s not in target]
+    pos = {s: i for i, s in enumerate(unknown)}
+    n = len(unknown)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    rhs = [Fraction(0)] * n
+    for s in unknown:
+        i = pos[s]
+        matrix[i][i] += 1
+        for t, p in transitions[s]:
+            if t in target:
+                rhs[i] += p
+            elif t in pos:
+                matrix[i][pos[t]] -= p
+    solved = solve_linear(matrix, rhs) if n else []
+    return {
+        s: Fraction(1) if s in target else solved[pos[s]] if s in pos else Fraction(0)
+        for s in states
+    }
+
+
+def solve_sizes(monkeypatch):
+    """Record the size of every linear system chains hands to solve_linear."""
+    sizes = []
+
+    def recording(matrix, rhs):
+        sizes.append(len(matrix))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(chains, "solve_linear", recording)
+    return sizes
+
+
+def one(t):
+    return ((t, Fraction(1)),)
+
+
+class TestBranchingStateSolve:
+    """_absorption solves only branching states; the dense solve is the oracle."""
+
+    def check(self, monkeypatch, transitions, target, branching_unknowns):
+        sizes = solve_sizes(monkeypatch)
+        states = list(transitions)
+        got = chains._absorption(states, transitions, frozenset(target))
+        assert got == dense_absorption(states, transitions, frozenset(target))
+        assert sizes == ([branching_unknowns] if branching_unknowns else [])
+        return got
+
+    def test_forced_path_into_target(self, monkeypatch):
+        trans = {
+            "r": (("a", H), ("x", H)),
+            "a": one("b"),
+            "b": one("t"),
+            "t": one("t"),
+            "x": one("x"),
+        }
+        got = self.check(monkeypatch, trans, {"t"}, 1)
+        assert got == {"r": H, "a": 1, "b": 1, "t": 1, "x": 0}
+
+    def test_forced_path_into_dead_end(self, monkeypatch):
+        third = Fraction(1, 3)
+        trans = {
+            "r": (("a", third), ("t", third), ("r", third)),
+            "a": one("b"),
+            "b": one("x"),
+            "x": one("x"),
+            "t": one("t"),
+        }
+        got = self.check(monkeypatch, trans, {"t"}, 1)
+        assert got == {"r": H, "a": 0, "b": 0, "x": 0, "t": 1}
+
+    def test_forced_cycle(self, monkeypatch):
+        trans = {
+            "r": (("c1", H), ("t", H)),
+            "c1": one("c2"),
+            "c2": one("c1"),
+            "t": one("t"),
+        }
+        got = self.check(monkeypatch, trans, {"t"}, 1)
+        assert got == {"r": H, "c1": 0, "c2": 0, "t": 1}
+
+    def test_forced_path_back_to_its_branching_state(self, monkeypatch):
+        third = Fraction(1, 3)
+        trans = {
+            "r": (("a", third), ("t", third), ("x", third)),
+            "a": one("b"),
+            "b": one("r"),
+            "t": one("t"),
+            "x": one("x"),
+        }
+        got = self.check(monkeypatch, trans, {"t"}, 1)
+        assert got["r"] == got["a"] == got["b"] == H
+
+    def test_self_loops(self, monkeypatch):
+        trans = {
+            "r": (("s", H), ("q", H)),
+            "q": (("q", H), ("t", H)),
+            "s": one("s"),
+            "t": one("t"),
+        }
+        got = self.check(monkeypatch, trans, {"t"}, 2)
+        assert got == {"r": H, "q": 1, "s": 0, "t": 1}
+
+    def test_zero_probability_edge_is_no_branch(self, monkeypatch):
+        trans = {
+            "a": (("x", Fraction(0)), ("t", Fraction(1))),
+            "x": one("x"),
+            "t": one("t"),
+        }
+        got = self.check(monkeypatch, trans, {"t"}, 0)
+        assert got == {"a": 1, "x": 0, "t": 1}
+
+    def test_every_state_forced(self, monkeypatch):
+        trans = {
+            "a": one("b"),
+            "b": one("t"),
+            "t": one("t"),
+            "c": one("d"),
+            "d": one("c"),
+        }
+        got = self.check(monkeypatch, trans, {"t"}, 0)
+        assert got == {"a": 1, "b": 1, "t": 1, "c": 0, "d": 0}
+
+    def test_seeded_corpus(self, monkeypatch):
+        # the games of acceptance criterion 2, under memoryless and
+        # counting strategy pairs, against every union of winning classes
+        # and against each class on its own
+        sizes = solve_sizes(monkeypatch)
+        checked = 0
+        for g in corpus_games():
+            sigmas = list(itertools.islice(iter_memoryless(g, Owner.MAX), 2))
+            taus = list(itertools.islice(iter_memoryless(g, Owner.MIN), 2))
+            pivot = g.vertex_ids[0]
+            moves = {v: sigmas[0].move("m0", v) for v in g.owned_by(Owner.MAX)}
+            sigmas.append(stubborn_strategy(g, moves, moves, pivot, 3))
+            for sigma, tau in itertools.product(sigmas, taus):
+                chain = product_chain(g, sigma, tau, g.vertex_ids)
+                comps = bsccs(chain)
+                winning = frozenset().union(
+                    *(c for c in comps if min(chain.label[s] for s in c) % 2 == 0)
+                )
+                for target in [winning, *comps]:
+                    sizes.clear()
+                    expected = dense_absorption(chain.states, chain.transitions, target)
+                    got = chains._absorption(chain.states, chain.transitions, target)
+                    assert got == expected
+                    # unknowns: states off the target that reach it (positive
+                    # probability) and have more than one positive edge
+                    n = sum(
+                        1
+                        for s in chain.states
+                        if s not in target
+                        and expected[s] > 0
+                        and sum(1 for _, p in chain.transitions[s] if p) > 1
+                    )
+                    assert sizes == ([n] if n else [])
+                    checked += 1
+        assert checked > 1000

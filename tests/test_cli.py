@@ -5,16 +5,22 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import stochparity.resets as resets
 from stochparity import (
     Owner,
     parse_game,
     parse_solution,
     parse_strategy,
+    random_game,
     serialize_game,
     serialize_strategy,
+    solve_game,
+    stubborn_strategy,
     validate_strategy,
 )
 from stochparity import fixtures as fx
@@ -346,6 +352,109 @@ class TestSimulate:
         assert out1 == out2
         data = json.loads(out1)
         assert 0.3 < eval_frac(data["estimate"]) < 0.7
+
+
+def stubborn_witness_files(files, seed, k):
+    """random_game(seed, 5, 3, 2, 1/3) with its witness switched at the first
+    Max choice on the pivot's k-th visit, and the Min witness."""
+    g = random_game(seed, 5, 3, 2, Fraction(1, 3))
+    sol = solve_game(g)
+    good = {v: sol.sigma_star.move("m0", v) for v in g.owned_by(Owner.MAX)}
+    pivot = next(v for v in g.owned_by(Owner.MAX) if len(g.successors[v]) > 1)
+    bad = dict(good)
+    bad[pivot] = next(w for w in g.successors[pivot] if w != good[pivot])
+    game = files["dir"] / f"stub{seed}.json"
+    game.write_text(serialize_game(g))
+    sigma = make_strategy_file(
+        files, f"stub{seed}-sigma.json", stubborn_strategy(g, good, bad, pivot, k)
+    )
+    tau = make_strategy_file(files, f"stub{seed}-tau.json", sol.tau_star)
+    return str(game), sigma, tau, pivot
+
+
+class TestCapReachesEveryTable:
+    # sigma's quality table enumerates 16 Min policies, over the cap of 4
+    @pytest.mark.parametrize("command", ["quality", "deviation-prob", "simulate"])
+    def test_cap_exceeded(self, files, capsys, command):
+        game, sigma, tau, pivot = stubborn_witness_files(files, 1, 4)
+        argv = {
+            "quality": ["quality", game, sigma],
+            "deviation-prob": ["deviation-prob", game, sigma, tau, "--start", pivot],
+            "simulate": [
+                "simulate", game, sigma, tau, "--start", pivot, "--deviations",
+                "--samples", "10",
+            ],
+        }[command]
+        code, out, err = run(capsys, *argv, "--cap", "4")
+        assert code == 3
+        assert out == ""
+        assert "policy enumeration needs 16 cases, cap is 4" in err
+        code, _, _ = run(capsys, *argv, "--cap", "16")
+        assert code == 0
+
+
+def count_tables(monkeypatch):
+    """Count the one-player tables built, per (game, fixed strategy)."""
+    built = Counter()
+    real = resets.mdp_table
+
+    def counting(g, fixed, free_player, cap=2**20):
+        key = (
+            fixed.player,
+            fixed.memory_states,
+            fixed.initial,
+            tuple(sorted(fixed.update.items())),
+            tuple(sorted(fixed.action.items())),
+        )
+        built[(g, key)] += 1
+        return real(g, fixed, free_player, cap)
+
+    monkeypatch.setattr(resets, "mdp_table", counting)
+    return built
+
+
+class TestEachTableBuiltOnce:
+    @pytest.mark.parametrize("name", ["g1", "g2", "g3"])
+    def test_verify_fixtures(self, files, capsys, monkeypatch, name):
+        built = count_tables(monkeypatch)
+        code, out, _ = run(capsys, "verify", files[name])
+        assert code == 0, out
+        assert built and max(built.values()) == 1
+
+    def test_verify_seed4_game(self, capsys, monkeypatch, tmp_path):
+        # took about 40 s while every deviation probability rebuilt its table
+        game = tmp_path / "seed4.json"
+        code, _, _ = run(
+            capsys, "gen", "--seed", "4", "--vertices", "7", "--max-priority", "3",
+            "--max-out-degree", "3", "--random-fraction", "1/4", "--out", str(game),
+        )
+        assert code == 0
+        built = count_tables(monkeypatch)
+        code, out, _ = run(capsys, "verify", str(game))
+        assert code == 0, out
+        assert out.splitlines() == [
+            "PASS value-equations",
+            "PASS determinacy",
+            "PASS prune-preserves-values",
+            "PASS pruned-consistent",
+            "PASS one-step-martingale",
+            "PASS deviation-bound",
+            "PASS reset-optimality",
+            "PASS resets-settle",
+        ]
+        assert max(built.values()) == 1
+
+    @pytest.mark.parametrize("name", ["g3", "stubborn"])
+    def test_deviation_prob(self, files, capsys, monkeypatch, name):
+        if name == "g3":
+            argv = (files["g3"], files["sigma3"], files["tau3"], "--start", "s")
+        else:
+            game, sigma, tau, pivot = stubborn_witness_files(files, 1, 4)
+            argv = (game, sigma, tau, "--start", pivot)
+        built = count_tables(monkeypatch)
+        code, out, _ = run(capsys, "deviation-prob", *argv)
+        assert code == 0, out
+        assert list(built.values()) == [1]
 
 
 def eval_frac(text):

@@ -310,3 +310,64 @@ class TestResetWindows:
             got = reset.strategy.read(trace[:i])
             expect = reset.base.read(trace[starts[i - 1] : i])
             assert got == expect
+
+
+class TestQualityReuse:
+    """A table passed as `quality=` stands in for building it again."""
+
+    def test_same_results_as_recomputing(self, g3p, sol3):
+        tau = fx.trivial_min(g3p)
+        for sigma in (fx.sigma3(), fx.stubborn3(3), sol3.sigma_star):
+            q = quality_table(g3p, sigma)
+            vals, m = sol3.values, sol3.m
+            assert lower_value(g3p, sigma, quality=q) == lower_value(g3p, sigma)
+            assert optimality_gap(g3p, sigma, vals, quality=q) == optimality_gap(
+                g3p, sigma, vals
+            )
+            assert deviation_states(
+                g3p, sigma, vals, m, quality=q
+            ) == deviation_states(g3p, sigma, vals, m)
+            for v in g3p.vertex_ids:
+                assert deviation_probability(
+                    g3p, sigma, tau, vals, m, v, quality=q
+                ) == deviation_probability(g3p, sigma, tau, vals, m, v)
+            given = reset_transform(g3p, sigma, vals, m, quality=q)
+            built = reset_transform(g3p, sigma, vals, m)
+            assert given.quality == built.quality == q
+            assert given.reset_pairs == built.reset_pairs
+            assert given.strategy == built.strategy
+
+    def test_given_table_is_not_rebuilt(self, g3p, sigma3, sol3, monkeypatch):
+        import stochparity.resets as resets
+
+        q = quality_table(g3p, sigma3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quality table rebuilt")
+
+        monkeypatch.setattr(resets, "quality_table", refuse)
+        tau = fx.trivial_min(g3p)
+        vals, m = sol3.values, sol3.m
+        assert optimality_gap(g3p, sigma3, vals, quality=q) == Fraction(1, 8)
+        assert deviation_probability(g3p, sigma3, tau, vals, m, "s", quality=q) == Fraction(1, 4)
+        assert reset_transform(g3p, sigma3, vals, m, quality=q).quality is q
+
+    def test_mismatched_table_rejected(self, g3p, sigma3, sol3):
+        tau = fx.trivial_min(g3p)
+        vals, m = sol3.values, sol3.m
+        other_memory = quality_table(g3p, sol3.sigma_star)
+        missing_pair = dict(quality_table(g3p, sigma3))
+        del missing_pair[("w", "m2")]
+        extra_pair = dict(quality_table(g3p, sigma3))
+        extra_pair[("x", "m0")] = ONE
+        for bad in (other_memory, missing_pair, extra_pair):
+            with pytest.raises(ValueError, match="quality table"):
+                lower_value(g3p, sigma3, quality=bad)
+            with pytest.raises(ValueError, match="quality table"):
+                optimality_gap(g3p, sigma3, vals, quality=bad)
+            with pytest.raises(ValueError, match="quality table"):
+                deviation_states(g3p, sigma3, vals, m, quality=bad)
+            with pytest.raises(ValueError, match="quality table"):
+                deviation_probability(g3p, sigma3, tau, vals, m, "s", quality=bad)
+            with pytest.raises(ValueError, match="quality table"):
+                reset_transform(g3p, sigma3, vals, m, quality=bad)
