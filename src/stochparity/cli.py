@@ -52,6 +52,7 @@ from .mealy import (
 from .resets import (
     QualityTable,
     deviation_bound,
+    deviation_probabilities,
     deviation_probability,
     lower_value,
     optimality_gap,
@@ -255,13 +256,13 @@ def cmd_verify(args) -> int:
         eps = optimality_gap(pruned, sigma, sol.values, quality=q)
         bound = deviation_bound(eps, sol.m)
         for tau in taus:
+            ps = deviation_probabilities(
+                pruned, sigma, tau, sol.values, sol.m, pruned.vertex_ids, quality=q
+            )
             for v in pruned.vertex_ids:
-                p = deviation_probability(
-                    pruned, sigma, tau, sol.values, sol.m, v, quality=q
-                )
-                if p > bound:
+                if ps[v] > bound:
                     ok = False
-                    detail = f"from {v}: deviation probability {p} exceeds {bound}"
+                    detail = f"from {v}: deviation probability {ps[v]} exceeds {bound}"
                     break
             if not ok:
                 break
@@ -426,90 +427,87 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FLAG = {"action": "store_true"}
+_INT = {"type": int}
+_GAME_SIGMA = {"game": {}, "strategy": {}}
+_GAME_SIGMA_TAU = {**_GAME_SIGMA, "tau": {}, "--start": {"required": True}}
+
+# command -> (handler, help, arguments after --cap: name -> add_argument keywords)
+_COMMANDS = {
+    "solve": (cmd_solve, "compute exact values and optimal strategies", {
+        "game": {},
+        "--out": {"help": "write a solution file here"},
+        "--decimal": {**_FLAG, "help": "append decimal renderings"},
+    }),
+    "check": (cmd_check, "re-run the value equations on a solution file",
+              {"game": {}, "solution": {}}),
+    "prune": (cmd_prune, "remove value-losing controlled edges",
+              {"game": {}, "--out": {"help": "write the pruned game here"}}),
+    "verify": (cmd_verify, "run the full invariant suite on a game", {"game": {}}),
+    "quality": (cmd_quality, "per (vertex, memory) guarantee of a strategy",
+                {**_GAME_SIGMA, "--decimal": _FLAG}),
+    "lower-value": (cmd_lower_value, "per-vertex guarantee of a Max strategy",
+                    {**_GAME_SIGMA, "--decimal": _FLAG}),
+    "deviation-prob": (
+        cmd_deviation_prob,
+        "exact probability that best play pushes a strategy off its guarantee",
+        {**_GAME_SIGMA_TAU, "--decimal": _FLAG},
+    ),
+    "reset": (cmd_reset, "repair a near-optimal strategy by memory resets", {
+        **_GAME_SIGMA,
+        "--out": {"help": "write the repaired strategy here"},
+        "--decimal": _FLAG,
+    }),
+    "simulate": (cmd_simulate, "Monte Carlo estimates from sampled plays", {
+        **_GAME_SIGMA_TAU,
+        "--samples": {**_INT, "default": 10_000},
+        "--seed": {**_INT, "default": 0},
+        "--horizon": {**_INT, "default": 10_000},
+        "--workers": {**_INT, "default": 1},
+        "--deviations": {
+            **_FLAG,
+            "help": "report deviation frequency and first-deviation histogram instead",
+        },
+    }),
+    "gen": (cmd_gen, "generate a pseudorandom game", {
+        "--seed": {**_INT, "required": True},
+        "--vertices": {**_INT, "default": 5},
+        "--max-priority": {**_INT, "default": 2},
+        "--max-out-degree": {**_INT, "default": 2},
+        "--random-fraction": {"default": "1/3"},
+        "--out": {"help": "write the game here"},
+    }),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every command, or for `command` alone.
+
+    The one-command parser lists every command in its metavar, so the
+    top-level usage line in its errors reads as the full parser's.
+    """
     top = argparse.ArgumentParser(
         prog="stochparity",
         description="Exact analysis of finite stochastic parity games.",
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_, **kw):
-        p = sub.add_parser(name, help=help_, **kw)
+    # on the full parser a metavar would rename "argument command" in its errors
+    meta = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = top.add_subparsers(dest="command", required=True, **meta)
+    for name in _COMMANDS if command is None else [command]:
+        func, help_, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
         p.add_argument("--cap", type=int, default=2**20, help="enumeration cap")
-        return p
-
-    p = add("solve", cmd_solve, "compute exact values and optimal strategies")
-    p.add_argument("game")
-    p.add_argument("--out", help="write a solution file here")
-    p.add_argument("--decimal", action="store_true", help="append decimal renderings")
-
-    p = add("check", cmd_check, "re-run the value equations on a solution file")
-    p.add_argument("game")
-    p.add_argument("solution")
-
-    p = add("prune", cmd_prune, "remove value-losing controlled edges")
-    p.add_argument("game")
-    p.add_argument("--out", help="write the pruned game here")
-
-    p = add("verify", cmd_verify, "run the full invariant suite on a game")
-    p.add_argument("game")
-
-    p = add("quality", cmd_quality, "per (vertex, memory) guarantee of a strategy")
-    p.add_argument("game")
-    p.add_argument("strategy")
-    p.add_argument("--decimal", action="store_true")
-
-    p = add("lower-value", cmd_lower_value, "per-vertex guarantee of a Max strategy")
-    p.add_argument("game")
-    p.add_argument("strategy")
-    p.add_argument("--decimal", action="store_true")
-
-    p = add(
-        "deviation-prob",
-        cmd_deviation_prob,
-        "exact probability that best play pushes a strategy off its guarantee",
-    )
-    p.add_argument("game")
-    p.add_argument("strategy")
-    p.add_argument("tau")
-    p.add_argument("--start", required=True)
-    p.add_argument("--decimal", action="store_true")
-
-    p = add("reset", cmd_reset, "repair a near-optimal strategy by memory resets")
-    p.add_argument("game")
-    p.add_argument("strategy")
-    p.add_argument("--out", help="write the repaired strategy here")
-    p.add_argument("--decimal", action="store_true")
-
-    p = add("simulate", cmd_simulate, "Monte Carlo estimates from sampled plays")
-    p.add_argument("game")
-    p.add_argument("strategy")
-    p.add_argument("tau")
-    p.add_argument("--start", required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--deviations",
-        action="store_true",
-        help="report deviation frequency and first-deviation histogram instead",
-    )
-
-    p = add("gen", cmd_gen, "generate a pseudorandom game")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vertices", type=int, default=5)
-    p.add_argument("--max-priority", type=int, default=2)
-    p.add_argument("--max-out-degree", type=int, default=2)
-    p.add_argument("--random-fraction", default="1/3")
-    p.add_argument("--out", help="write the game here")
+        for arg, kw in arguments.items():
+            p.add_argument(arg, **kw)
     return top
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (

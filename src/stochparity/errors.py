@@ -47,7 +47,13 @@ class DeterminacyError(StochparityError, RuntimeError):
 
 
 class StaleValuesError(StochparityError, ValueError):
-    """A value map does not satisfy the local value equations of the game."""
+    """A value map does not satisfy the local value equations of the game.
+
+    This is a fixed-point check only, not a certificate: a parity game's
+    value equations have many fixed points besides the true values. On
+    G1, setting the losing sink `l` to 1 keeps every equation satisfied,
+    so such a map raises nothing here and passes `check`.
+    """
 
 
 class InconsistentGameError(StochparityError, ValueError):

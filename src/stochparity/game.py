@@ -227,6 +227,12 @@ def _decode(text: Union[bytes, str], what: str) -> dict:
     return obj
 
 
+def _check_unambiguous(name: str, what: str) -> None:
+    """Reject ',' and '=', which would make output lines like `v,mem=q` ambiguous."""
+    if "," in name or "=" in name:
+        raise GameFormatError(f"{what} {name!r} must not contain ',' or '='")
+
+
 def parse_game(text: Union[bytes, str]) -> GameGraph:
     """Parse and validate a game file; raise on syntax or invariant violations."""
     obj = _decode(text, "game file")
@@ -246,6 +252,7 @@ def parse_game(text: Union[bytes, str]) -> GameGraph:
         vid, owner, pri = item["id"], item["owner"], item["priority"]
         if not isinstance(vid, str) or not vid:
             raise GameFormatError(f"{where}: id must be a nonempty string")
+        _check_unambiguous(vid, f"{where}: id")
         if owner not in _OWNER_NAMES:
             raise GameFormatError(f"{where}: owner must be one of max/min/random")
         if isinstance(pri, bool) or not isinstance(pri, int):

@@ -30,7 +30,14 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import GameFormatError, IllegalPlayError, StrategyError
-from .game import GameGraph, Owner, PlayPrefix, _decode, _require_keys
+from .game import (
+    GameGraph,
+    Owner,
+    PlayPrefix,
+    _check_unambiguous,
+    _decode,
+    _require_keys,
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -213,6 +220,8 @@ def parse_strategy(text: Union[bytes, str]) -> MealyStrategy:
         or not all(isinstance(m, str) and m for m in mems)
     ):
         raise GameFormatError("strategy file: memory_states must be nonempty strings")
+    for m in mems:
+        _check_unambiguous(m, "strategy file: memory state")
     if len(set(mems)) != len(mems):
         raise GameFormatError("strategy file: duplicate memory states")
     initial = obj["initial"]

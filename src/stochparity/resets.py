@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .chains import ProductChain, State, _absorption, mdp_table, product_chain
 from .errors import (
@@ -189,11 +189,33 @@ def deviation_probability(
     is sigma's quality table on g, used instead of building it again;
     see `lower_value`.
     """
+    return deviation_probabilities(
+        g, sigma, tau, vals, m, [start], cap, quality=quality
+    )[start]
+
+
+def deviation_probabilities(
+    g: GameGraph,
+    sigma: MealyStrategy,
+    tau: MealyStrategy,
+    vals: ValueMap,
+    m: Union[Fraction, float],
+    starts: Iterable[str],
+    cap: int = 2**20,
+    *,
+    quality: QualityTable | None = None,
+) -> dict[str, Fraction]:
+    """`deviation_probability` from every start vertex, by one absorption solve.
+
+    One chain is built from all starts. A state's absorption probability
+    depends only on the states it can reach, so each start gets exactly
+    the value its own chain would give.
+    """
     m = _check_threshold(m)
     dev = deviation_states(g, sigma, vals, m, cap, quality=quality)
-    chain, absorbing = _deviation_chain(g, sigma, tau, dev, start)
+    chain, absorbing = _deviation_chain(g, sigma, tau, dev, starts)
     hit = _absorption(chain.states, chain.transitions, absorbing)
-    return hit[chain.start[start]]
+    return {v: hit[s] for v, s in chain.start.items()}
 
 
 def _deviation_chain(
@@ -201,14 +223,14 @@ def _deviation_chain(
     sigma: MealyStrategy,
     tau: MealyStrategy,
     dev: frozenset[tuple[str, str]],
-    start: str,
+    starts: Iterable[str],
 ) -> tuple[ProductChain, frozenset[State]]:
-    """The chain from `start` with every state on a deviated pair made absorbing.
+    """The chain from `starts` with every state on a deviated pair made absorbing.
 
     Returns the chain, whose deviated states loop to themselves with
     probability 1, and the set of those states.
     """
-    chain = product_chain(g, sigma, tau, [start])
+    chain = product_chain(g, sigma, tau, starts)
     absorbing = frozenset(s for s in chain.states if (s[0], s[1]) in dev)
     trans = {
         s: (((s, Fraction(1)),) if s in absorbing else chain.transitions[s])

@@ -3,10 +3,12 @@
 Randomness comes from numpy's Philox counter-based generator, which
 gives named, seedable, splittable streams: stream(seed, worker_index)
 is the generator keyed by (worker_index << 64) | (seed mod 2^64).
-Sampling n plays splits the work into per-worker contiguous chunks,
-each consuming only its own stream, and aggregates by addition, so
-results are identical for identical (inputs, seed, worker count)
-regardless of evaluation order.
+numpy is imported on the first call of `stream`, so importing the
+package or running the exact layers never loads it. Sampling n plays
+splits the work into per-worker contiguous chunks, each consuming only
+its own stream, and aggregates by addition, so results are identical
+for identical (inputs, seed, worker count) regardless of evaluation
+order.
 
 Successor draws at Random vertices are exact: a row with probabilities
 p_i is sampled by drawing a uniform integer below the common
@@ -26,9 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .chains import Outcome, ProductChain, product_chain
 from .errors import SimulationError
@@ -37,12 +37,17 @@ from .mealy import MealyStrategy
 from .resets import _deviation_chain, deviation_states
 from .values import ValueMap
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _STDERR_SCALE = 10**12
 
 
 def stream(seed: int, worker_index: int) -> np.random.Generator:
     """The named Philox stream for a seed and worker index."""
+    import numpy as np
+
     if worker_index < 0:
         raise ValueError("worker_index must be >= 0")
     key = ((worker_index & _MASK64) << 64) | (seed % (1 << 64))
@@ -268,7 +273,7 @@ def simulate_deviations(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     dev_pairs = deviation_states(g, sigma, vals, m, cap)
-    chain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, start)
+    chain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, [start])
     sampler = _Sampler(chain, start)
     dev_idx = frozenset(
         i for i, s in enumerate(chain.states) if s in absorbing

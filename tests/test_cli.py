@@ -13,6 +13,7 @@ import pytest
 import stochparity.resets as resets
 from stochparity import (
     Owner,
+    memoryless,
     parse_game,
     parse_solution,
     parse_strategy,
@@ -24,7 +25,7 @@ from stochparity import (
     validate_strategy,
 )
 from stochparity import fixtures as fx
-from stochparity.cli import main
+from stochparity.cli import _build_parser, main
 
 ALL_ZERO_GAME = """
 {
@@ -519,3 +520,156 @@ class TestParserBasics:
         # argv[0] is the -c script; remaining args reach the parser
         assert proc.returncode == 0
         assert "r=1/2" in proc.stdout
+
+
+class TestAmbiguousIds:
+    """Ids with ',' or '=' would make `v,mem=...` and `reset-pairs=` lines ambiguous."""
+
+    def test_vertex_id(self, capsys, tmp_path):
+        game = tmp_path / "game.json"
+        game.write_text(ALL_ZERO_GAME.replace('"x"', '"x,y"'))
+        sigma = tmp_path / "sigma.json"
+        g = parse_game(ALL_ZERO_GAME)
+        sigma.write_text(serialize_strategy(memoryless(g, Owner.MAX, {"x": "x"})))
+        for command in ("quality", "reset"):
+            code, out, err = run(capsys, command, str(game), str(sigma))
+            assert (code, out) == (2, "")
+            assert "'x,y' must not contain ',' or '='" in err
+
+    @pytest.mark.parametrize("name", ["m=1", "m,1"])
+    def test_memory_state(self, files, capsys, tmp_path, name):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(
+            serialize_strategy(fx.sigma3()).replace('"m1"', json.dumps(name))
+        )
+        for command in ("quality", "reset"):
+            code, out, err = run(capsys, command, files["g3"], str(sigma))
+            assert (code, out) == (2, "")
+            assert f"memory state {name!r} must not contain ',' or '='" in err
+
+
+class TestOneDeviationChainPerTau:
+    @pytest.mark.parametrize("name", ["g1", "g2", "g3"])
+    def test_verify(self, files, capsys, monkeypatch, name):
+        starts = []
+        real = resets._deviation_chain
+
+        def recording(g, sigma, tau, dev, from_vertices):
+            starts.append(list(from_vertices))
+            return real(g, sigma, tau, dev, from_vertices)
+
+        monkeypatch.setattr(resets, "_deviation_chain", recording)
+        code, out, _ = run(capsys, "verify", files[name])
+        assert code == 0, out
+        vertices = sorted(getattr(fx, name)().vertex_ids)
+        assert starts and all(sorted(s) == vertices for s in starts)
+
+
+COMMANDS = (
+    "solve", "check", "prune", "verify", "quality", "lower-value",
+    "deviation-prob", "reset", "simulate", "gen",
+)
+# argv lists that end in argparse: help, version and usage errors; a bare
+# command lacks its positionals (gen its required --seed)
+PARSER_EXITS = [
+    ["--help"],
+    [],
+    ["nope"],
+    ["--version"],
+    ["quality", "g", "s", "--bogus"],
+    ["solve", "g", "--cap", "x"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command] for command in COMMANDS),
+]
+
+
+def parser_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+    def test_same_as_full_parser(self, capsys, argv):
+        full = parser_exit(capsys, lambda a: _build_parser().parse_args(a), argv)
+        assert parser_exit(capsys, main, argv) == full
+        assert full[1] or full[2]
+
+    def test_main_builds_only_the_named_command(self, files, capsys, monkeypatch):
+        import stochparity.cli as cli
+
+        built = []
+        real = cli._build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        assert run(capsys, "solve", files["g1"])[0] == 0
+        parser_exit(capsys, main, ["--version"])
+        parser_exit(capsys, main, ["nope"])
+        assert built == ["solve", None, None]
+
+
+EXACT_COMMANDS_SCRIPT = """
+import sys
+import stochparity, stochparity.cli
+from stochparity import Owner, memoryless, serialize_game, serialize_strategy
+from stochparity import fixtures as fx
+d = sys.argv[1]
+g1 = fx.g1()
+sigma = memoryless(g1, Owner.MAX, {"a": "w", "w": "w", "l": "l"})
+open(d + "/g1.json", "w").write(serialize_game(g1))
+open(d + "/s1.json", "w").write(serialize_strategy(sigma))
+for argv in (
+    ["solve", d + "/g1.json", "--out", d + "/sol1.json"],
+    ["check", d + "/g1.json", d + "/sol1.json"],
+    ["quality", d + "/g1.json", d + "/s1.json"],
+    ["verify", d + "/g1.json"],
+    ["reset", d + "/g1.json", d + "/s1.json"],
+):
+    assert stochparity.cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+class TestNumpyOnlyForSampling:
+    def test_exact_commands_never_import_numpy(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", EXACT_COMMANDS_SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_simulate_output_unchanged(self, files, capsys):
+        # recorded before numpy was imported lazily
+        argv = (files["g3"], files["sigma3"], files["tau3"], "--start", "s")
+        code, out, _ = run(
+            capsys, "simulate", *argv, "--samples", "2000", "--seed", "7",
+            "--workers", "2",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "estimate": "1739/2000",
+            "stderr": "3766127819/500000000000",
+            "n": 2000,
+            "truncated_count": 0,
+            "histogram": {},
+        }
+        code, out, _ = run(
+            capsys, "simulate", *argv, "--samples", "2000", "--seed", "1",
+            "--deviations",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "estimate": "63/250",
+            "stderr": "9708140913/1000000000000",
+            "n": 2000,
+            "truncated_count": 0,
+            "histogram": {"4": 504},
+        }

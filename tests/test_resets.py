@@ -19,6 +19,7 @@ from stochparity import (
     Vertex,
     deviation_bound,
     deviation_date,
+    deviation_probabilities,
     deviation_probability,
     deviation_states,
     dual_game,
@@ -28,9 +29,11 @@ from stochparity import (
     product_chain,
     prune_superfluous,
     quality_table,
+    random_game,
     reset_transform,
     reset_windows,
     solve_game,
+    stubborn_strategy,
     upper_value,
 )
 from stochparity import fixtures as fx
@@ -207,6 +210,46 @@ class TestDeviationProbability:
         assert deviation_probability(g1, to_w(g1), tau, sol1.values, sol1.m, "a") == ZERO
         assert deviation_probability(g1, to_l(g1), tau, sol1.values, sol1.m, "a") == ONE
         assert deviation_probability(g1, to_l(g1), tau, sol1.values, sol1.m, "w") == ZERO
+
+
+    def test_all_starts_in_one_solve(self, g3p, sol3):
+        # one chain from every start gives each start its own chain's value
+        tau = fx.trivial_min(g3p)
+        for sigma in (fx.sigma3(), fx.stubborn3(2), fx.stubborn3(3)):
+            vals, m = sol3.values, sol3.m
+            assert deviation_probabilities(
+                g3p, sigma, tau, vals, m, g3p.vertex_ids
+            ) == {
+                v: deviation_probability(g3p, sigma, tau, vals, m, v)
+                for v in g3p.vertex_ids
+            }
+
+    def test_all_starts_on_generated_games(self):
+        mixed = 0
+        for seed in range(40):
+            g = random_game(seed, 7, 3, 3, H)
+            sol = solve_game(g)
+            if sol.m == math.inf:
+                continue
+            for sigma in (sol.sigma_star, *stubborn_variants(g, sol)):
+                q = quality_table(g, sigma)
+                args = (g, sigma, sol.tau_star, sol.values, sol.m)
+                probs = deviation_probabilities(*args, g.vertex_ids, quality=q)
+                assert probs == {
+                    v: deviation_probability(*args, v, quality=q)
+                    for v in g.vertex_ids
+                }
+                mixed += sum(0 < p < 1 for p in probs.values())
+        assert mixed >= 5
+
+
+def stubborn_variants(g, sol):
+    """Witness copies that switch one Max choice on its second visit."""
+    moves = {v: sol.sigma_star.move("m0", v) for v in g.owned_by(Owner.MAX)}
+    for pivot in g.owned_by(Owner.MAX):
+        for alt in g.successors[pivot]:
+            if alt != moves[pivot]:
+                yield stubborn_strategy(g, moves, {**moves, pivot: alt}, pivot, 2)
 
 
 class TestResetTransform:
