@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceededError, DeterminacyError, IllegalPlayError, StrategyError
-from .game import GameGraph, Owner
+from .game import GameGraph, Owner, _max_wins
 from .linalg import solve_linear
 from .mealy import MealyStrategy
 
@@ -189,7 +190,7 @@ def classify_bscc(chain: ProductChain, component: Iterable[State]) -> Outcome:
     members = frozenset(component)
     if members not in set(chain.bsccs()):
         raise ValueError("not a closed recurrent class of this chain")
-    return Outcome.WIN if min(chain.label[s] for s in members) % 2 == 0 else Outcome.LOSE
+    return Outcome.WIN if _max_wins(chain.label[s] for s in members) else Outcome.LOSE
 
 
 def _absorption(
@@ -295,7 +296,7 @@ def _chain_values(states, transitions, label) -> dict:
     bottoms = _bottom_sccs(states, lambda s: [t for t, _ in transitions[s]])
     winning: set = set()
     for c in bottoms:
-        if min(label[s] for s in c) % 2 == 0:
+        if _max_wins(label[s] for s in c):
             winning |= c
     return _absorption(states, transitions, frozenset(winning))
 
@@ -312,6 +313,33 @@ def chain_win_probability(
     return {v: values[s] for v, s in chain.start.items()}
 
 
+def _optimum(tagged_maps, better):
+    """Pointwise optimum of (tag, map) pairs and the first tag attaining it.
+
+    `better(x, y)` says x strictly beats y. A map that gains somewhere and
+    loses nowhere equals the new optimum and becomes the candidate; one
+    that loses somewhere never can, as the optimum only improves; one that
+    equals the optimum becomes the candidate if there is none. The tag is
+    None when no map attains the optimum at every key.
+    """
+    best = tag = None
+    for t, vals in tagged_maps:
+        if best is None:
+            best, tag = dict(vals), t
+            continue
+        gains = loses = False
+        for k, x in vals.items():
+            y = best[k]
+            if x != y:
+                if better(x, y):
+                    best[k], gains = x, True
+                else:
+                    loses = True
+        if gains or tag is None:
+            tag = None if loses else t
+    return best, tag
+
+
 class _ProductMdp:
     """The one-player decision process left when one strategy is fixed."""
 
@@ -324,7 +352,7 @@ class _ProductMdp:
         self.states = [(v, m) for v in g.vertex_ids for m in mems]
         self.label = {(v, m): g.priority(v) for v, m in self.states}
         self.fixed = fixed
-        self.prefer = max if free_player is Owner.MAX else min
+        self.better = operator.gt if free_player is Owner.MAX else operator.lt
 
         self.base: dict[tuple[str, str], tuple] = {}
         self.choice_states: list[tuple[str, str]] = []
@@ -342,27 +370,19 @@ class _ProductMdp:
                 self.base[(v, m)] = (((w, m2), Fraction(1)),)
         self.pools = [g.successors[v] for v, _ in self.choice_states]
 
-    def check_cap(self, cap: int) -> None:
-        count = math.prod(len(p) for p in self.pools)
-        if count > cap:
-            raise CapExceededError(count, cap, "policy enumeration")
-
     def values_of(self, choice: tuple[str, ...]) -> dict:
         trans = dict(self.base)
         for (v, m), w in zip(self.choice_states, choice):
             trans[(v, m)] = (((w, self.fixed.step(m, v)), Fraction(1)),)
         return _chain_values(self.states, trans, self.label)
 
-    def envelope(self) -> dict[tuple[str, str], Fraction]:
-        best = None
-        for choice in itertools.product(*self.pools):
-            vals = self.values_of(choice)
-            if best is None:
-                best = vals
-            else:
-                best = {s: self.prefer(best[s], vals[s]) for s in best}
-        assert best is not None
-        return best
+    def optimum(self, cap: int) -> tuple[dict, tuple[str, ...] | None]:
+        """Best values over every policy, and the first policy attaining them."""
+        count = math.prod(len(p) for p in self.pools)
+        if count > cap:
+            raise CapExceededError(count, cap, "policy enumeration")
+        policies = itertools.product(*self.pools)
+        return _optimum(((c, self.values_of(c)) for c in policies), self.better)
 
 
 def mdp_table(
@@ -371,10 +391,8 @@ def mdp_table(
     free_player: Owner,
     cap: int = 2**20,
 ) -> dict[tuple[str, str], Fraction]:
-    """Like mdp_value but returns only the per-pair optimum (faster)."""
-    mdp = _ProductMdp(g, fixed, free_player)
-    mdp.check_cap(cap)
-    return mdp.envelope()
+    """The per-pair optimum of mdp_value, without the witness."""
+    return _ProductMdp(g, fixed, free_player).optimum(cap)[0]
 
 
 def mdp_value(
@@ -396,20 +414,13 @@ def mdp_value(
     witness is the first optimal policy in that order.
     """
     mdp = _ProductMdp(g, fixed, free_player)
-    mdp.check_cap(cap)
-    best = mdp.envelope()
-
-    witness_choice = None
-    for choice in itertools.product(*mdp.pools):
-        if mdp.values_of(choice) == best:
-            witness_choice = choice
-            break
-    if witness_choice is None:
+    best, choice = mdp.optimum(cap)
+    if choice is None:
         raise DeterminacyError(
             "no single product policy is optimal at every state; this is a bug"
         )
 
-    action = {(m, v): w for (v, m), w in zip(mdp.choice_states, witness_choice)}
+    action = {(m, v): w for (v, m), w in zip(mdp.choice_states, choice)}
     witness = MealyStrategy(
         free_player,
         fixed.memory_states,

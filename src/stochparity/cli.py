@@ -24,12 +24,10 @@ from .errors import (
     CapExceededError,
     DeterminacyError,
     GameFormatError,
-    GameValidationError,
-    IllegalPlayError,
     InconsistentGameError,
     InvalidThresholdError,
     SimulationError,
-    StaleValuesError,
+    StochparityError,
     StrategyError,
 )
 from .game import (
@@ -72,6 +70,15 @@ from .values import (
 )
 
 _PAIRS_CAP = 2**10  # martingale spot checks per game
+
+# exit status of each error class main reports; any other error exits 2
+_EXIT_STATUS = {
+    CapExceededError: 3,
+    InconsistentGameError: 4,
+    InvalidThresholdError: 4,
+    DeterminacyError: 1,
+    SimulationError: 1,
+}
 
 
 def _load_game(path: str) -> GameGraph:
@@ -510,25 +517,9 @@ def main(argv=None) -> int:
     args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except (
-        GameFormatError,
-        GameValidationError,
-        StrategyError,
-        IllegalPlayError,
-        StaleValuesError,
-        OSError,
-    ) as exc:
+    except (StochparityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InconsistentGameError, InvalidThresholdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DeterminacyError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_STATUS.get(type(exc), 2)
 
 
 def entry() -> None:

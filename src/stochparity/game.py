@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import GameFormatError, GameValidationError, IllegalPlayError
 
@@ -45,6 +45,11 @@ class Owner(str, Enum):
     MAX = "max"
     MIN = "min"
     RANDOM = "random"
+
+
+def _max_wins(priorities: Iterable[int]) -> bool:
+    """Min-parity: Max wins iff the least priority seen infinitely often is even."""
+    return min(priorities) % 2 == 0
 
 
 def parse_rational(text: str, what: str = "rational") -> Fraction:
@@ -337,7 +342,7 @@ def winner_ultimately_periodic(g: GameGraph, play: UltimatelyPeriodicPlay) -> bo
         raise IllegalPlayError(
             f"cycle does not close: missing edge ({play.cycle[-1]!r}, {play.cycle[0]!r})"
         )
-    return min(g.priority(v) for v in play.cycle) % 2 == 0
+    return _max_wins(g.priority(v) for v in play.cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Union
 
 from .chains import Outcome, ProductChain, product_chain
 from .errors import SimulationError
-from .game import GameGraph
+from .game import GameGraph, _max_wins
 from .mealy import MealyStrategy
 from .resets import _deviation_chain, deviation_states
 from .values import ValueMap
@@ -109,11 +109,7 @@ class _Sampler:
 
         self.absorbed: dict[int, tuple[Outcome, frozenset]] = {}
         for c in chain.bsccs():
-            o = (
-                Outcome.WIN
-                if min(chain.label[s] for s in c) % 2 == 0
-                else Outcome.LOSE
-            )
+            o = Outcome.WIN if _max_wins(chain.label[s] for s in c) else Outcome.LOSE
             for s in c:
                 self.absorbed[index[s]] = (o, c)
 
@@ -190,6 +186,18 @@ def _chunks(n: int, workers: int) -> list[int]:
     return [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
 
 
+def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int, dev=None):
+    """Walk n plays, worker by worker, each chunk on its worker's own stream."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    for worker, quota in enumerate(_chunks(n, workers)):
+        draws = _Draws(stream(seed, worker))
+        for _ in range(quota):
+            yield sampler.walk(draws, horizon, dev=dev)
+
+
 def sample_play(
     g: GameGraph,
     sigma: MealyStrategy,
@@ -222,21 +230,14 @@ def estimate_value(
     with denominator 10^12. Raises SimulationError when every sample
     was truncated.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     sampler = _Sampler(product_chain(g, sigma, tau, [start]), start)
 
     wins = truncated = 0
-    for worker, quota in enumerate(_chunks(n, workers)):
-        draws = _Draws(stream(seed, worker))
-        for _ in range(quota):
-            rec = sampler.walk(draws, horizon)
-            if rec.outcome is Outcome.WIN:
-                wins += 1
-            elif rec.outcome is Outcome.TRUNCATED:
-                truncated += 1
+    for rec in _plays(sampler, n, seed, workers, horizon):
+        if rec.outcome is Outcome.WIN:
+            wins += 1
+        elif rec.outcome is Outcome.TRUNCATED:
+            truncated += 1
 
     effective = n - truncated
     if effective == 0:
@@ -268,10 +269,6 @@ def simulate_deviations(
     reported. `cap` bounds the policy enumeration of sigma's quality
     table, as in `deviation_states`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     dev_pairs = deviation_states(g, sigma, vals, m, cap)
     chain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, [start])
     sampler = _Sampler(chain, start)
@@ -281,17 +278,12 @@ def simulate_deviations(
 
     deviated = truncated = 0
     histogram: dict[int, int] = {}
-    for worker, quota in enumerate(_chunks(n, workers)):
-        draws = _Draws(stream(seed, worker))
-        for _ in range(quota):
-            rec = sampler.walk(draws, horizon, dev=dev_idx)
-            if rec.first_deviation is not None:
-                deviated += 1
-                histogram[rec.first_deviation] = (
-                    histogram.get(rec.first_deviation, 0) + 1
-                )
-            elif rec.outcome is Outcome.TRUNCATED:
-                truncated += 1
+    for rec in _plays(sampler, n, seed, workers, horizon, dev=dev_idx):
+        if rec.first_deviation is not None:
+            deviated += 1
+            histogram[rec.first_deviation] = histogram.get(rec.first_deviation, 0) + 1
+        elif rec.outcome is Outcome.TRUNCATED:
+            truncated += 1
 
     return DeviationStats(
         empirical_p=Fraction(deviated, n),

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chains import chain_win_probability
+from .chains import _optimum, chain_win_probability
 from .errors import (
     CapExceededError,
     DeterminacyError,
@@ -150,8 +151,8 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     and the min-of-maxima envelope for Min. The two envelopes agreeing
     at every vertex is the determinacy check; the returned witnesses
     are the enumeration-first strategies achieving their envelope at
-    every vertex simultaneously, which makes them the lexicographically
-    smallest optimal move choices.
+    every vertex simultaneously (`chains._optimum`), which makes them
+    the lexicographically smallest optimal move choices.
     """
     n_pairs = count_memoryless(g, Owner.MAX) * count_memoryless(g, Owner.MIN)
     if n_pairs > cap:
@@ -178,8 +179,8 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
         assert mins is not None
         row_min.append(mins)
 
-    lower = {v: max(r[v] for r in row_min) for v in vertices}
-    upper = {v: min(c[v] for c in col_max) for v in vertices}
+    lower, sigma_star = _optimum(zip(sigmas, row_min), operator.gt)
+    upper, tau_star = _optimum(zip(taus, col_max), operator.lt)
     if lower != upper:
         raise DeterminacyError(
             "lower and upper enumerations disagree; this is a bug: "
@@ -187,11 +188,6 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
                 f"{v}: {lower[v]} vs {upper[v]}" for v in vertices if lower[v] != upper[v]
             )
         )
-
-    sigma_star = next(
-        (s for s, r in zip(sigmas, row_min) if r == lower), None
-    )
-    tau_star = next((t for t, c in zip(taus, col_max) if c == upper), None)
     if sigma_star is None or tau_star is None:
         raise DeterminacyError("no uniformly optimal memoryless strategy; this is a bug")
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,11 +19,13 @@ from stochparity import (
     bsccs,
     chain_win_probability,
     classify_bscc,
+    enumerate_memoryless,
     mdp_table,
     mdp_value,
     memoryless,
     product_chain,
     random_game,
+    solve_game,
     stubborn_strategy,
 )
 from stochparity import chains
@@ -478,3 +482,101 @@ class TestBranchingStateSolve:
                     assert sizes == ([n] if n else [])
                     checked += 1
         assert checked > 1000
+
+
+def two_pass_optimum(tagged_maps, better):
+    """Reference for chains._optimum: the envelope, then the first map equal to it."""
+    tagged_maps = list(tagged_maps)
+    pick = max if better is operator.gt else min
+    best = {k: pick(m[k] for _, m in tagged_maps) for k in tagged_maps[0][1]}
+    return best, next((t for t, m in tagged_maps if m == best), None)
+
+
+class TestOptimum:
+    def test_hand_cases(self):
+        gt = operator.gt
+        a, b, c = ("a", {0: 1, 1: 0}), ("b", {0: 0, 1: 1}), ("c", {0: 1, 1: 1})
+        # b gains and loses, so neither a nor b is optimal; c meets the envelope
+        assert chains._optimum([a, b, c], gt) == ({0: 1, 1: 1}, "c")
+        assert chains._optimum([a, b], gt) == ({0: 1, 1: 1}, None)
+        # of equal optimal maps the first is the witness
+        assert chains._optimum([c, ("d", {0: 1, 1: 1})], gt) == ({0: 1, 1: 1}, "c")
+        assert chains._optimum([a, c], operator.lt) == ({0: 1, 1: 0}, "a")
+
+    def test_matches_two_pass_oracle(self):
+        rng = random.Random(4)
+        values = [Fraction(0), Fraction(1, 3), H, Fraction(1)]
+        kinds = {"none": 0, "first": 0, "later": 0}
+        for _ in range(2000):
+            keys = range(rng.randint(1, 4))
+            maps = [
+                (i, {k: rng.choice(values) for k in keys})
+                for i in range(rng.randint(1, 6))
+            ]
+            before = [(t, dict(m)) for t, m in maps]
+            for better in (operator.gt, operator.lt):
+                expect = two_pass_optimum(maps, better)
+                assert chains._optimum(iter(maps), better) == expect
+                witness = expect[1]
+                kinds["none" if witness is None else "first" if witness == 0 else "later"] += 1
+            assert maps == before
+        # ties, sequences with no uniform optimum, and late witnesses all occur
+        assert min(kinds.values()) > 200
+
+
+class TestOnePassWitness:
+    def test_mdp_value_evaluates_each_policy_once(self, g3, sigma3, monkeypatch):
+        calls = []
+        real = chains._ProductMdp.values_of
+
+        def counting(self, choice):
+            calls.append(choice)
+            return real(self, choice)
+
+        monkeypatch.setattr(chains._ProductMdp, "values_of", counting)
+        cases = [(g3, fx.trivial_min(g3), Owner.MAX), (g3, sigma3, Owner.MIN)]
+        for g in corpus_games()[3:40]:
+            cases.append((g, next(enumerate_memoryless(g, Owner.MIN)), Owner.MAX))
+            cases.append((g, next(enumerate_memoryless(g, Owner.MAX)), Owner.MIN))
+        for g, fixed, free in cases:
+            calls.clear()
+            mdp_value(g, fixed, free)
+            pools = chains._ProductMdp(g, fixed, free).pools
+            assert calls == list(itertools.product(*pools))
+
+    def test_witnesses_match_two_pass_oracle_on_corpus(self):
+        for g in corpus_games():
+            sol = solve_game(g)
+            vertices = g.vertex_ids
+            sigmas = list(enumerate_memoryless(g, Owner.MAX))
+            taus = list(enumerate_memoryless(g, Owner.MIN))
+            grid = [
+                [chain_win_probability(g, s, t, vertices) for t in taus] for s in sigmas
+            ]
+            rows = [{v: min(p[v] for p in row) for v in vertices} for row in grid]
+            cols = [
+                {v: max(row[j][v] for row in grid) for v in vertices}
+                for j in range(len(taus))
+            ]
+            assert two_pass_optimum(zip(sigmas, rows), operator.gt) == (
+                sol.values,
+                sol.sigma_star,
+            )
+            assert two_pass_optimum(zip(taus, cols), operator.lt) == (
+                sol.values,
+                sol.tau_star,
+            )
+            for fixed, free, better in (
+                (sol.tau_star, Owner.MAX, operator.gt),
+                (sol.sigma_star, Owner.MIN, operator.lt),
+            ):
+                mdp = chains._ProductMdp(g, fixed, free)
+                policies = itertools.product(*mdp.pools)
+                best, choice = two_pass_optimum(
+                    ((c, mdp.values_of(c)) for c in policies), better
+                )
+                table, witness = mdp_value(g, fixed, free)
+                assert table == best
+                assert witness.action == {
+                    (m, v): w for (v, m), w in zip(mdp.choice_states, choice)
+                }

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+import stochparity.cli as cli
+import stochparity.errors as errors
 import stochparity.resets as resets
 from stochparity import (
     Owner,
@@ -673,3 +675,49 @@ class TestNumpyOnlyForSampling:
             "truncated_count": 0,
             "histogram": {"4": 504},
         }
+
+
+class TestExitStatus:
+    # README "Command line": 1 check failure, 2 input error, 3 cap
+    # exceeded, 4 precondition violated
+    DOCUMENTED = {
+        errors.GameFormatError: 2,
+        errors.GameValidationError: 2,
+        errors.StrategyError: 2,
+        errors.IllegalPlayError: 2,
+        errors.StaleValuesError: 2,
+        errors.CapExceededError: 3,
+        errors.InconsistentGameError: 4,
+        errors.InvalidThresholdError: 4,
+        errors.DeterminacyError: 1,
+        errors.SimulationError: 1,
+        errors.StochparityError: 2,
+        OSError: 2,
+    }
+
+    def test_every_error_class_is_documented(self):
+        package = {
+            c
+            for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.StochparityError)
+        }
+        assert package == set(self.DOCUMENTED) - {OSError}
+
+    @pytest.mark.parametrize("cls", list(DOCUMENTED), ids=lambda c: c.__name__)
+    def test_status_through_main(self, files, capsys, monkeypatch, cls):
+        if cls is errors.GameValidationError:
+            exc = cls(["bad vertex"])
+        elif cls is errors.CapExceededError:
+            exc = cls(5, 4)
+        else:
+            exc = cls("bad input")
+
+        def raising(args):
+            raise exc
+
+        _, help_, arguments = cli._COMMANDS["solve"]
+        monkeypatch.setitem(cli._COMMANDS, "solve", (raising, help_, arguments))
+        code, out, err = run(capsys, "solve", files["g1"])
+        assert code == self.DOCUMENTED[cls]
+        assert out == ""
+        assert err == f"error: {exc}\n"
