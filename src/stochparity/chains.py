@@ -14,6 +14,12 @@ memory) pairs. Parity MDPs admit optimal policies that are memoryless
 on the product, so the free player's best value is found by exhaustive
 enumeration of product policies; the enumeration is capped and the cap
 reported when exceeded.
+
+Both enumerators, of product policies here and of strategy pairs in
+`values.solve_game`, take their optimum and witness in one pass
+(`_optimum`): the witness is the first policy in enumeration order that
+is optimal from every state at once. One always exists, so a pass that
+finds none reports a bug.
 """
 
 from __future__ import annotations

@@ -418,12 +418,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # checked here, not by argparse, so a bad value is reported as
+    # `error: ...` with exit 2, like a bad input file
+    frac = parse_rational(args.random_fraction, "--random-fraction")
+    if not 0 <= frac <= 1:
+        raise GameFormatError(f"--random-fraction: {frac} is outside [0, 1]")
     g = random_game(
         args.seed,
         args.vertices,
         args.max_priority,
         args.max_out_degree,
-        parse_rational(args.random_fraction, "--random-fraction"),
+        frac,
     )
     text = serialize_game(g)
     if args.out:
@@ -434,8 +439,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 _FLAG = {"action": "store_true"}
 _INT = {"type": int}
+_POSITIVE = {"type": _at_least(1)}
 _GAME_SIGMA = {"game": {}, "strategy": {}}
 _GAME_SIGMA_TAU = {**_GAME_SIGMA, "tau": {}, "--start": {"required": True}}
 
@@ -467,10 +486,10 @@ _COMMANDS = {
     }),
     "simulate": (cmd_simulate, "Monte Carlo estimates from sampled plays", {
         **_GAME_SIGMA_TAU,
-        "--samples": {**_INT, "default": 10_000},
+        "--samples": {**_POSITIVE, "default": 10_000},
         "--seed": {**_INT, "default": 0},
-        "--horizon": {**_INT, "default": 10_000},
-        "--workers": {**_INT, "default": 1},
+        "--horizon": {**_POSITIVE, "default": 10_000},
+        "--workers": {**_POSITIVE, "default": 1},
         "--deviations": {
             **_FLAG,
             "help": "report deviation frequency and first-deviation histogram instead",
@@ -478,9 +497,9 @@ _COMMANDS = {
     }),
     "gen": (cmd_gen, "generate a pseudorandom game", {
         "--seed": {**_INT, "required": True},
-        "--vertices": {**_INT, "default": 5},
-        "--max-priority": {**_INT, "default": 2},
-        "--max-out-degree": {**_INT, "default": 2},
+        "--vertices": {**_POSITIVE, "default": 5},
+        "--max-priority": {"type": _at_least(0), "default": 2},
+        "--max-out-degree": {**_POSITIVE, "default": 2},
         "--random-fraction": {"default": "1/3"},
         "--out": {"help": "write the game here"},
     }),

@@ -59,7 +59,10 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise GameFormatError(f"{what}: malformed rational {text!r}")
-    num, den = int(m.group(1)), int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2))
+    except ValueError:  # past the interpreter's digit limit for int()
+        raise GameFormatError(f"{what}: rational has too many digits") from None
     if den == 0:
         raise GameFormatError(f"{what}: zero denominator in {text!r}")
     return Fraction(num, den)
@@ -227,6 +230,10 @@ def _decode(text: Union[bytes, str], what: str) -> dict:
             f"{what}: JSON syntax error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise GameFormatError(f"{what}: number has too many digits") from None
+    except RecursionError:
+        raise GameFormatError(f"{what}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise GameFormatError(f"{what}: top level must be an object")
     return obj
@@ -258,7 +265,7 @@ def parse_game(text: Union[bytes, str]) -> GameGraph:
         if not isinstance(vid, str) or not vid:
             raise GameFormatError(f"{where}: id must be a nonempty string")
         _check_unambiguous(vid, f"{where}: id")
-        if owner not in _OWNER_NAMES:
+        if not isinstance(owner, str) or owner not in _OWNER_NAMES:
             raise GameFormatError(f"{where}: owner must be one of max/min/random")
         if isinstance(pri, bool) or not isinstance(pri, int):
             raise GameFormatError(f"{where}: priority must be an integer")

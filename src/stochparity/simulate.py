@@ -187,12 +187,16 @@ def _chunks(n: int, workers: int) -> list[int]:
 
 
 def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int, dev=None):
-    """Walk n plays, worker by worker, each chunk on its worker's own stream."""
+    """Walk n plays, worker by worker, each chunk on its worker's own stream.
+
+    Workers past the n-th would draw nothing, so only min(workers, n)
+    streams are made; the plays are the same for any larger count.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    for worker, quota in enumerate(_chunks(n, workers)):
+    for worker, quota in enumerate(_chunks(n, min(workers, n))):
         draws = _Draws(stream(seed, worker))
         for _ in range(quota):
             yield sampler.walk(draws, horizon, dev=dev)

@@ -721,3 +721,70 @@ class TestExitStatus:
         assert code == self.DOCUMENTED[cls]
         assert out == ""
         assert err == f"error: {exc}\n"
+
+
+def _long_digits_game(field: str) -> str:
+    # 5,000-digit numbers are past the interpreter's limit for int()
+    digits = "1" * 5000
+    priority = digits if field == "priority" else "0"
+    prob = f"{digits}/{digits}" if field == "prob" else "1/1"
+    return (
+        '{"vertices": [{"id": "a", "owner": "random", "priority": %s}], '
+        '"edges": [{"from": "a", "to": "a", "prob": "%s"}]}' % (priority, prob)
+    )
+
+
+class TestParserEscapes:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            _long_digits_game("priority"),
+            _long_digits_game("prob"),
+            '{"vertices": [{"id": "a", "owner": ["max"], "priority": 0}], '
+            '"edges": [{"from": "a", "to": "a"}]}',
+        ],
+        ids=["deep-nesting", "long-integer", "long-prob", "list-owner"],
+    )
+    def test_game_file_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err) < 200
+
+    def test_strategy_and_solution_files_exit_2(self, files, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        for command in ("quality", "check"):
+            code, out, err = run(capsys, command, files["g3"], str(path))
+            assert (code, out) == (2, "")
+            assert "nested too deeply" in err
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--samples", "0"),
+            ("--workers", "0"),
+            ("--horizon", "0"),
+            ("--vertices", "0"),
+            ("--max-out-degree", "0"),
+            ("--max-priority", "-1"),
+            ("--random-fraction", "2/1"),
+        ],
+    )
+    def test_exit_2_without_traceback(self, files, capsys, flag, value):
+        if flag in ("--samples", "--workers", "--horizon"):
+            argv = ["simulate", files["g3"], files["sigma3"], files["tau3"]]
+            argv += ["--start", "s"]
+        else:
+            argv = ["gen", "--seed", "1"]
+        try:
+            code = main([*argv, flag, value])
+        except SystemExit as exc:  # rejected by argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert flag in captured.err

@@ -20,6 +20,7 @@ from stochparity import (
     stream,
 )
 from stochparity import fixtures as fx
+from stochparity import simulate
 from stochparity.simulate import _chunks, _stderr
 
 H = Fraction(1, 2)
@@ -239,3 +240,25 @@ class TestRepairedStrategyUnderSampling:
                 assert reset.strategy.read(rec.trace[:i]) == reset.base.read(
                     rec.trace[starts[i - 1] : i]
                 )
+
+
+class TestWorkersPastN:
+    def test_same_result_with_n_streams(self, g3, sigma3, sol3, monkeypatch):
+        n = 40
+        tau = fx.trivial_min(g3)
+        value_args = (g3, sigma3, tau, "s", n, 9)
+        deviation_args = (g3, sigma3, tau, sol3.values, sol3.m, "s", n, 9)
+        base = estimate_value(*value_args, workers=n)
+        base_dev = simulate_deviations(*deviation_args, workers=n)
+
+        real = simulate._chunks
+
+        def guarded(n_plays, workers):
+            # fail fast instead of sizing a list by a huge worker count
+            assert workers <= n_plays
+            return real(n_plays, workers)
+
+        monkeypatch.setattr(simulate, "_chunks", guarded)
+        for workers in (n + 3, 10**12):
+            assert estimate_value(*value_args, workers=workers) == base
+            assert simulate_deviations(*deviation_args, workers=workers) == base_dev
