@@ -9,6 +9,13 @@ priority inside the class. Win probabilities are therefore exact:
 classify each bottom SCC, then solve the absorption system with
 rational arithmetic.
 
+One kernel does both on the collapsed chain: `_collapse` maps every
+forced state (its only positive edge has probability 1) to the first
+branching state or forced cycle on its path, with the least priority on
+the way; recurrent classes are then found by Tarjan over the branching
+states only, and only branching states enter the linear system. Win
+probabilities, the one-player tables below and `_absorption` all use it.
+
 Fixing only one player's strategy leaves a finite MDP over (vertex,
 memory) pairs. Parity MDPs admit optimal policies that are memoryless
 on the product, so the free player's best value is found by exhaustive
@@ -39,6 +46,8 @@ from .mealy import MealyStrategy
 
 # (vertex, max memory, min memory)
 State = tuple[str, str, str]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class Outcome(Enum):
@@ -199,6 +208,130 @@ def classify_bscc(chain: ProductChain, component: Iterable[State]) -> Outcome:
     return Outcome.WIN if _max_wins(chain.label[s] for s in members) else Outcome.LOSE
 
 
+def _split(states, transitions):
+    """A chain's forced map and branching rows; zero-probability edges are non-edges.
+
+    A state whose only positive edge has probability 1 is forced to that
+    edge's end; every other state is branching and keeps its positive edges.
+    """
+    forced: dict = {}
+    rows: dict = {}
+    for s in states:
+        row = tuple((t, p) for t, p in transitions[s] if p != 0)
+        if len(row) == 1 and row[0][1] == 1:
+            forced[s] = row[0][0]
+        else:
+            rows[s] = row
+    return forced, rows
+
+
+def _collapse(forced, label):
+    """Where every forced state's forced path ends, and its least priority.
+
+    `end[s]` is the first branching state on the path from `s`, or, when
+    the path closes a cycle of forced states first, the least member of
+    that cycle. `low[s]` is the least priority on the path before its
+    end; for a path into a forced cycle it is the cycle's own least
+    priority, the only one a play that stays on the cycle sees forever.
+    """
+    end: dict = {}
+    low: dict = {}
+    for s in forced:
+        path: list = []
+        on_path: dict = {}
+        t = s
+        while t in forced and t not in end:
+            if t in on_path:
+                cycle = path[on_path[t]:]
+                rep, least = min(cycle), min(label[c] for c in cycle)
+                for c in cycle:
+                    end[c], low[c] = rep, least
+                del path[on_path[t]:]
+                break
+            on_path[t] = len(path)
+            path.append(t)
+            t = forced[t]
+        if t in forced:
+            last, least = end[t], low[t]
+            into_cycle = last in forced
+        else:
+            last, least, into_cycle = t, None, False
+        for r in reversed(path):
+            if not into_cycle and (least is None or label[r] < least):
+                least = label[r]
+            end[r], low[r] = last, least
+    return end, low
+
+
+def _branch_values(rows, end, low, label) -> dict:
+    """Win probability of every branching state of a collapsed chain.
+
+    The chain is given as its branching `rows` and the `end`/`low` maps
+    of `_collapse`. A forced cycle is won by its own least priority; a
+    bottom class of branching states, found by Tarjan over the branching
+    states only, by the least priority over its members and the forced
+    paths of their edges. The branching states off the winning classes
+    that can reach one are the unknowns of the linear system.
+    """
+    succ = {b: [end.get(t, t) for t, _ in row] for b, row in rows.items()}
+    ends = {e for es in succ.values() for e in es}
+    won = {e for e in ends if e not in rows and _max_wins((low[e],))}
+    inner = {b: [e for e in es if e in rows] for b, es in succ.items()}
+    for comp in map(set, _tarjan_sccs(list(rows), inner.__getitem__)):
+        if all(e in comp for b in comp for e in succ[b]):
+            paths = [low[t] for b in comp for t, _ in rows[b] if t in low]
+            if _max_wins([label[b] for b in comp] + paths):
+                won.update(comp)
+
+    preds: dict = {}
+    for b, es in succ.items():
+        for e in es:
+            preds.setdefault(e, []).append(b)
+    reach = set(won)
+    queue = list(won)
+    while queue:
+        for b in preds.get(queue.pop(), ()):
+            if b not in reach:
+                reach.add(b)
+                queue.append(b)
+
+    unknown = [b for b in rows if b in reach and b not in won]
+    pos = {b: i for i, b in enumerate(unknown)}
+    n = len(unknown)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    rhs = [Fraction(0)] * n
+    for b in unknown:
+        i = pos[b]
+        matrix[i][i] += 1
+        for e, (_, p) in zip(succ[b], rows[b]):
+            if e in won:
+                rhs[i] += p
+            elif e in pos:
+                matrix[i][pos[e]] -= p
+    solved = solve_linear(matrix, rhs) if n else []
+    return {
+        b: _ONE if b in won else solved[pos[b]] if b in pos else _ZERO for b in rows
+    }
+
+
+def _state_values(states, end, low, branch) -> dict:
+    """Every state's value: that of the branching state or forced cycle it ends in."""
+    out: dict = {}
+    for s in states:
+        e = end.get(s, s)
+        if e in branch:
+            out[s] = branch[e]
+        else:
+            out[s] = _ONE if _max_wins((low[e],)) else _ZERO
+    return out
+
+
+def _solve_collapsed(states, forced, rows, label) -> dict:
+    """Win probability of every state of a chain given as forced map and rows."""
+    end, low = _collapse(forced, label)
+    return _state_values(states, end, low, _branch_values(rows, end, low, label))
+
+
 def _absorption(
     states: Sequence[Hashable],
     transitions: dict,
@@ -206,76 +339,13 @@ def _absorption(
 ) -> dict:
     """P(reach target) for every state; target must be closed.
 
-    A state whose only positive-probability edge is one edge of
-    probability 1 is forced: it takes the value of the first state along
-    its forced path that is a target, cannot reach the target, or
-    branches. Only the branching states that can reach the target are
-    unknowns of the linear system.
+    A play that enters a closed set ends in a recurrent class inside it,
+    and every class lies wholly inside or outside it, so reaching the
+    target is winning with priority 0 on its states and 1 elsewhere.
+    Only the branching states that can reach it are unknowns.
     """
-    preds: dict = {s: [] for s in states}
-    for s in states:
-        for t, p in transitions[s]:
-            if p != 0:
-                preds[t].append(s)
-    reach = set(target)
-    queue = list(target)
-    while queue:
-        s = queue.pop()
-        for r in preds[s]:
-            if r not in reach:
-                reach.add(r)
-                queue.append(r)
-
-    forced: dict = {}
-    for s in states:
-        row = [(t, p) for t, p in transitions[s] if p != 0]
-        if len(row) == 1 and row[0][1] == 1:
-            forced[s] = row[0][0]
-
-    # A forced path from a state that reaches the target stays among such
-    # states until it meets the target or a branching state: its one
-    # successor is the only way on. A forced cycle closes off the target,
-    # so no state on it is in `reach` and the walk below always ends.
-    end: dict = {}
-
-    def follow(s):
-        path = []
-        while s in forced and s in reach and s not in target and s not in end:
-            path.append(s)
-            s = forced[s]
-        last = end.get(s, s)
-        for r in path:
-            end[r] = last
-        return last
-
-    unknown = [
-        s for s in states if s in reach and s not in target and s not in forced
-    ]
-    pos = {s: i for i, s in enumerate(unknown)}
-    n = len(unknown)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for s in unknown:
-        i = pos[s]
-        matrix[i][i] += 1
-        for t, p in transitions[s]:
-            t = follow(t)
-            if t in target:
-                rhs[i] += p
-            elif t in pos:
-                matrix[i][pos[t]] -= p
-    solved = solve_linear(matrix, rhs) if n else []
-
-    out: dict = {}
-    for s in states:
-        t = follow(s)
-        if t in target:
-            out[s] = Fraction(1)
-        elif t in pos:
-            out[s] = solved[pos[t]]
-        else:
-            out[s] = Fraction(0)
-    return out
+    label = {s: 0 if s in target else 1 for s in states}
+    return _solve_collapsed(states, *_split(states, transitions), label)
 
 
 def absorption_probabilities(
@@ -297,16 +367,6 @@ def absorption_probabilities(
     return _absorption(chain.states, chain.transitions, wanted)
 
 
-def _chain_values(states, transitions, label) -> dict:
-    """Win probability of every state of an arbitrary finite chain."""
-    bottoms = _bottom_sccs(states, lambda s: [t for t, _ in transitions[s]])
-    winning: set = set()
-    for c in bottoms:
-        if _max_wins(label[s] for s in c):
-            winning |= c
-    return _absorption(states, transitions, frozenset(winning))
-
-
 def chain_win_probability(
     g: GameGraph,
     sigma: MealyStrategy,
@@ -315,7 +375,8 @@ def chain_win_probability(
 ) -> dict[str, Fraction]:
     """Exact Max win probability from each start vertex under (sigma, tau)."""
     chain = product_chain(g, sigma, tau, start_vertices)
-    values = _chain_values(chain.states, chain.transitions, chain.label)
+    forced, rows = _split(chain.states, chain.transitions)
+    values = _solve_collapsed(chain.states, forced, rows, chain.label)
     return {v: values[s] for v, s in chain.start.items()}
 
 
@@ -357,10 +418,9 @@ class _ProductMdp:
         mems = sorted(fixed.memory_states)
         self.states = [(v, m) for v in g.vertex_ids for m in mems]
         self.label = {(v, m): g.priority(v) for v, m in self.states}
-        self.fixed = fixed
         self.better = operator.gt if free_player is Owner.MAX else operator.lt
 
-        self.base: dict[tuple[str, str], tuple] = {}
+        base: dict[tuple[str, str], tuple] = {}
         self.choice_states: list[tuple[str, str]] = []
         for v, m in self.states:
             owner = g.owner(v)
@@ -368,19 +428,21 @@ class _ProductMdp:
             if owner is free_player:
                 self.choice_states.append((v, m))
             elif owner is Owner.RANDOM:
-                self.base[(v, m)] = tuple(((w, m2), p) for w, p in g.distribution[v])
+                base[(v, m)] = tuple(((w, m2), p) for w, p in g.distribution[v])
             else:
                 w = fixed.move(m, v)
                 if w not in g.by_id:
                     raise StrategyError(f"strategy moves to unknown vertex {w!r}")
-                self.base[(v, m)] = (((w, m2), Fraction(1)),)
+                base[(v, m)] = (((w, m2), _ONE),)
+        self.forced, self.rows = _split(list(base), base)
+        self.after = [fixed.step(m, v) for v, m in self.choice_states]
         self.pools = [g.successors[v] for v, _ in self.choice_states]
 
     def values_of(self, choice: tuple[str, ...]) -> dict:
-        trans = dict(self.base)
-        for (v, m), w in zip(self.choice_states, choice):
-            trans[(v, m)] = (((w, self.fixed.step(m, v)), Fraction(1)),)
-        return _chain_values(self.states, trans, self.label)
+        forced = dict(self.forced)
+        for (v, m), w, m2 in zip(self.choice_states, choice, self.after):
+            forced[(v, m)] = (w, m2)
+        return _solve_collapsed(self.states, forced, self.rows, self.label)
 
     def optimum(self, cap: int) -> tuple[dict, tuple[str, ...] | None]:
         """Best values over every policy, and the first policy attaining them."""

@@ -38,7 +38,8 @@ from .errors import GameFormatError, GameValidationError, IllegalPlayError
 
 PlayPrefix = tuple[str, ...]
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
+# ASCII digits only: `\d` would take any Unicode digit
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 class Owner(str, Enum):
@@ -56,7 +57,7 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
     """Parse a "num/den" string into a Fraction (normalized to lowest terms)."""
     if not isinstance(text, str):
         raise GameFormatError(f"{what}: expected a 'num/den' string, got {text!r}")
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise GameFormatError(f"{what}: malformed rational {text!r}")
     try:

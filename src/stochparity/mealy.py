@@ -139,16 +139,23 @@ def count_memoryless(g: GameGraph, player: Owner) -> int:
     return n
 
 
-def enumerate_memoryless(g: GameGraph, player: Owner) -> Iterator[MealyStrategy]:
-    """All memoryless strategies for a player, in lexicographic move order.
+def _memoryless_choices(
+    g: GameGraph, player: Owner
+) -> tuple[tuple[str, ...], Iterator[tuple[str, ...]]]:
+    """The vertices a player owns, and every choice of one successor at each.
 
-    Owned vertices are taken in id order and successor choices in id
-    order, so the first strategy yielded plays the smallest successor
-    everywhere.
+    Owned vertices are taken in id order and choices come in
+    lexicographic order of successor ids, so the first choice is the
+    smallest successor everywhere.
     """
     owned = g.owned_by(player)
-    pools = [g.successors[v] for v in owned]
-    for choice in itertools.product(*pools):
+    return owned, itertools.product(*(g.successors[v] for v in owned))
+
+
+def enumerate_memoryless(g: GameGraph, player: Owner) -> Iterator[MealyStrategy]:
+    """All memoryless strategies for a player, in `_memoryless_choices` order."""
+    owned, choices = _memoryless_choices(g, player)
+    for choice in choices:
         yield memoryless(g, player, dict(zip(owned, choice)))
 
 

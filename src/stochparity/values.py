@@ -5,7 +5,10 @@ strategies the induced chain is solved exactly, then lower (max of row
 minima) and upper (min of column maxima) envelopes are compared. Both
 players have memoryless optimal strategies in these games, so the two
 envelopes must coincide; any mismatch is reported as an implementation
-bug rather than silently resolved.
+bug rather than silently resolved. A memoryless pair's chain is the game
+graph with every controlled vertex forced, so each pair is solved on the
+collapsed vertex graph (`chains._collapse`), and pairs that collapse to
+the same system share one solve within a call.
 
 The resulting value map satisfies the local equations (max over
 successors at Max vertices, min at Min vertices, the weighted average
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chains import _optimum, chain_win_probability
+from .chains import _branch_values, _collapse, _optimum, _split, _state_values
 from .errors import (
     CapExceededError,
     DeterminacyError,
@@ -56,8 +59,9 @@ from .game import (
 )
 from .mealy import (
     MealyStrategy,
+    _memoryless_choices,
     count_memoryless,
-    enumerate_memoryless,
+    memoryless,
     parse_strategy,
     serialize_strategy,
 )
@@ -153,29 +157,50 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     are the enumeration-first strategies achieving their envelope at
     every vertex simultaneously (`chains._optimum`), which makes them
     the lexicographically smallest optimal move choices.
+    Pairs whose collapsed systems agree (the same end and least priority
+    on every Random edge) share one solve within the call.
     """
     n_pairs = count_memoryless(g, Owner.MAX) * count_memoryless(g, Owner.MIN)
     if n_pairs > cap:
         raise CapExceededError(n_pairs, cap, "strategy pair enumeration")
 
-    sigmas = list(enumerate_memoryless(g, Owner.MAX))
-    taus = list(enumerate_memoryless(g, Owner.MIN))
+    max_owned, sigmas = _memoryless_choices(g, Owner.MAX)
+    min_owned, taus = _memoryless_choices(g, Owner.MIN)
+    sigmas, taus = list(sigmas), list(taus)
     vertices = g.vertex_ids
+    label = {v: g.priority(v) for v in vertices}
+    fixed, rows = _split(g.owned_by(Owner.RANDOM), g.distribution)
+    targets = [t for row in rows.values() for t, _ in row]
+    solved: dict[tuple, dict] = {}
 
     row_min: list[ValueMap] = []
     col_max: list[ValueMap] = [dict() for _ in taus]
     for sigma in sigmas:
+        moves = dict(fixed)
+        moves.update(zip(max_owned, sigma))
         mins: ValueMap | None = None
         for j, tau in enumerate(taus):
-            p = chain_win_probability(g, sigma, tau, vertices)
+            forced = dict(moves)
+            forced.update(zip(min_owned, tau))
+            end, low = _collapse(forced, label)
+            key = tuple((end.get(t, t), low.get(t)) for t in targets)
+            branch = solved.get(key)
+            if branch is None:
+                branch = solved[key] = _branch_values(rows, end, low, label)
+            p = _state_values(vertices, end, low, branch)
+            cm = col_max[j]
             if mins is None:
                 mins = dict(p)
-            else:
-                mins = {v: min(mins[v], p[v]) for v in vertices}
-            cm = col_max[j]
+            # values are mostly shared objects (0, 1, a reused solve), and
+            # `is` skips comparing those
             for v in vertices:
-                if v not in cm or p[v] > cm[v]:
-                    cm[v] = p[v]
+                x = p[v]
+                y = mins[v]
+                if x is not y and x < y:
+                    mins[v] = x
+                y = cm.get(v)
+                if y is None or (x is not y and x > y):
+                    cm[v] = x
         assert mins is not None
         row_min.append(mins)
 
@@ -193,8 +218,8 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
 
     return Solution(
         values=lower,
-        sigma_star=sigma_star,
-        tau_star=tau_star,
+        sigma_star=memoryless(g, Owner.MAX, dict(zip(max_owned, sigma_star))),
+        tau_star=memoryless(g, Owner.MIN, dict(zip(min_owned, tau_star))),
         consistent=is_consistent(g, lower),
         m=min_positive_value(lower),
         lower_enum=lower,

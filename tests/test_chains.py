@@ -580,3 +580,241 @@ class TestOnePassWitness:
                 assert witness.action == {
                     (m, v): w for (v, m), w in zip(mdp.choice_states, choice)
                 }
+
+
+def reference_chain_values(states, transitions, label):
+    """Reference: Tarjan over every state, then the dense absorption solve.
+
+    This is the chain solve `chains` used before forced paths were
+    collapsed once for both recurrent classes and absorption.
+    """
+    bottoms = chains._bottom_sccs(states, lambda s: [t for t, _ in transitions[s]])
+    winning: set = set()
+    for c in bottoms:
+        if min(label[s] for s in c) % 2 == 0:
+            winning |= c
+    return dense_absorption(states, transitions, frozenset(winning))
+
+
+def kernel_chain_values(states, transitions, label):
+    forced, rows = chains._split(states, transitions)
+    return chains._solve_collapsed(states, forced, rows, label)
+
+
+class TestCollapsedKernel:
+    """Recurrent classes decided on the collapsed chain, against the reference."""
+
+    def check(self, transitions, label):
+        states = list(transitions)
+        got = kernel_chain_values(states, transitions, label)
+        assert got == reference_chain_values(states, transitions, label)
+        return got
+
+    def test_class_least_priority_on_forced_vertex(self):
+        # r1 -> f -> r2 -> r1 is one recurrent class; its least priority
+        # sits on f, a forced vertex between the two Random ones
+        trans = {
+            "e": (("r1", H), ("w", H)),
+            "r1": (("f", H), ("r1", H)),
+            "f": one("r2"),
+            "r2": (("r1", H), ("r2", H)),
+            "w": one("w"),
+        }
+        label = {"e": 3, "r1": 2, "f": 1, "r2": 2, "w": 0}
+        got = self.check(trans, label)
+        assert got == {"e": H, "r1": 0, "f": 0, "r2": 0, "w": 1}
+        got = self.check(trans, {**label, "f": 0, "r1": 1, "r2": 1, "w": 1})
+        assert got == {"e": H, "r1": 1, "f": 1, "r2": 1, "w": 0}
+
+    def test_forced_cycles_even_and_odd(self):
+        trans = {
+            "r": (("a1", H), ("b1", H)),
+            "a1": one("a2"),
+            "a2": one("a1"),
+            "b1": one("b2"),
+            "b2": one("b1"),
+        }
+        label = {"r": 0, "a1": 4, "a2": 2, "b1": 3, "b2": 5}
+        got = self.check(trans, label)
+        assert got == {"r": H, "a1": 1, "a2": 1, "b1": 0, "b2": 0}
+
+    def test_forced_path_into_forced_cycle(self):
+        # the path's even priority is seen once; the odd cycle decides
+        third = Fraction(1, 3)
+        trans = {
+            "r": (("p1", third), ("r", third), ("w", third)),
+            "p1": one("p2"),
+            "p2": one("c1"),
+            "c1": one("c2"),
+            "c2": one("c1"),
+            "w": one("w"),
+        }
+        label = {"r": 1, "p1": 0, "p2": 2, "c1": 3, "c2": 1, "w": 2}
+        got = self.check(trans, label)
+        assert got == {"r": H, "p1": 0, "p2": 0, "c1": 0, "c2": 0, "w": 1}
+
+    def test_all_forced_chain(self):
+        trans = {
+            "a": one("b"),
+            "b": one("c"),
+            "c": one("b"),
+            "d": one("e"),
+            "e": one("e"),
+            "f": one("c"),
+        }
+        label = {"a": 1, "b": 2, "c": 4, "d": 1, "e": 3, "f": 0}
+        got = self.check(trans, label)
+        assert got == {"a": 1, "b": 1, "c": 1, "d": 0, "e": 0, "f": 1}
+
+    def test_random_self_loop(self):
+        trans = {
+            "r": (("r", H), ("s", H)),
+            "s": (("s", Fraction(2, 3)), ("r", Fraction(1, 3))),
+            "q": (("q", H), ("l", H)),
+            "l": one("l"),
+        }
+        label = {"r": 2, "s": 4, "q": 0, "l": 1}
+        got = self.check(trans, label)
+        assert got == {"r": 1, "s": 1, "q": 0, "l": 0}
+        # a lone Random state whose every edge loops back is a class too
+        got = self.check({"z": (("z", H), ("y", H)), "y": one("z")}, {"z": 2, "y": 1})
+        assert got == {"z": 0, "y": 0}
+
+    def test_zero_probability_edge_is_no_edge(self):
+        trans = {"a": (("x", Fraction(0)), ("a", Fraction(1))), "x": one("x")}
+        got = kernel_chain_values(list(trans), trans, {"a": 0, "x": 1})
+        assert got == {"a": 1, "x": 0}
+
+    def test_seeded_corpus(self):
+        # the games of acceptance criterion 2 under memoryless and counting
+        # strategy pairs, as in TestBranchingStateSolve.test_seeded_corpus
+        checked = 0
+        for g in corpus_games():
+            sigmas = list(itertools.islice(iter_memoryless(g, Owner.MAX), 2))
+            taus = list(itertools.islice(iter_memoryless(g, Owner.MIN), 2))
+            pivot = g.vertex_ids[0]
+            moves = {v: sigmas[0].move("m0", v) for v in g.owned_by(Owner.MAX)}
+            sigmas.append(stubborn_strategy(g, moves, moves, pivot, 3))
+            for sigma, tau in itertools.product(sigmas, taus):
+                chain = product_chain(g, sigma, tau, g.vertex_ids)
+                expected = reference_chain_values(chain.states, chain.transitions, chain.label)
+                got = kernel_chain_values(chain.states, chain.transitions, chain.label)
+                assert got == expected
+                assert chain_win_probability(g, sigma, tau, g.vertex_ids) == {
+                    v: expected[s] for v, s in chain.start.items()
+                }
+                checked += 1
+            # the one-player process of the counting machine, Min free
+            fixed = sigmas[-1]
+            mdp = chains._ProductMdp(g, fixed, Owner.MIN)
+            for choice in itertools.islice(itertools.product(*mdp.pools), 3):
+                picked = dict(zip(mdp.choice_states, choice))
+                trans = {}
+                for v, m in mdp.states:
+                    m2 = fixed.step(m, v)
+                    if (v, m) in picked:
+                        trans[(v, m)] = one((picked[(v, m)], m2))
+                    elif g.owner(v) is Owner.RANDOM:
+                        trans[(v, m)] = tuple(((w, m2), p) for w, p in g.distribution[v])
+                    else:
+                        trans[(v, m)] = one((fixed.move(m, v), m2))
+                assert mdp.values_of(choice) == reference_chain_values(
+                    mdp.states, trans, mdp.label
+                )
+                checked += 1
+        assert checked > 1000
+
+
+def repeated_systems_game():
+    """Max picks x -> r or x -> l, Min y -> w or y -> y: 4 pairs, 2 systems.
+
+    The Random vertex r is an unknown under every pair; Min's choice never
+    lies on a forced path out of r, so it never changes r's system.
+    """
+    from stochparity import Edge, GameGraph, Vertex
+
+    return GameGraph(
+        "",
+        (
+            Vertex("r", Owner.RANDOM, 1),
+            Vertex("x", Owner.MAX, 1),
+            Vertex("y", Owner.MIN, 0),
+            Vertex("w", Owner.MAX, 0),
+            Vertex("l", Owner.MAX, 1),
+        ),
+        (
+            Edge("r", "w", H),
+            Edge("r", "x", H),
+            Edge("x", "r"),
+            Edge("x", "l"),
+            Edge("y", "w"),
+            Edge("y", "y"),
+            Edge("w", "w"),
+            Edge("l", "l"),
+        ),
+    )
+
+
+class TestSolveGameOnVertexGraph:
+    def test_no_product_chain(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_game built a product chain")
+
+        monkeypatch.setattr(chains, "product_chain", forbidden)
+        monkeypatch.setattr(chains, "chain_win_probability", forbidden)
+        from stochparity import values
+
+        monkeypatch.setattr(values, "chain_win_probability", forbidden, raising=False)
+        for g in corpus_games()[:60]:
+            solve_game(g)
+
+    def test_repeated_systems_solved_once(self, monkeypatch):
+        g = repeated_systems_game()
+        sizes = solve_sizes(monkeypatch)
+        sol = solve_game(g)
+        assert sol.values == {"r": 1, "x": 1, "y": 1, "w": 1, "l": 0}
+        pairs = 2 * 2
+        assert sizes == [1, 1] and len(sizes) < pairs
+
+    def test_matches_chain_win_probability_grid(self):
+        # every pair's values, read back through the envelopes: the witness
+        # strategies attain the values against every opponent strategy
+        for g in corpus_games()[:80]:
+            sol = solve_game(g)
+            for tau in iter_memoryless(g, Owner.MIN):
+                p = chain_win_probability(g, sol.sigma_star, tau, g.vertex_ids)
+                assert all(p[v] >= sol.values[v] for v in g.vertex_ids)
+            for sigma in iter_memoryless(g, Owner.MAX):
+                p = chain_win_probability(g, sigma, sol.tau_star, g.vertex_ids)
+                assert all(p[v] <= sol.values[v] for v in g.vertex_ids)
+
+    def test_cycle_parity_in_system_key(self):
+        # r's edge runs p -> a into a forced cycle through a under both of
+        # Max's choices at b; only the cycle's own least priority (odd via
+        # b -> a, even via b -> c) tells the two systems apart
+        from stochparity import Edge, GameGraph, Vertex
+
+        g = GameGraph(
+            "",
+            (
+                Vertex("r", Owner.RANDOM, 1),
+                Vertex("p", Owner.MAX, 0),
+                Vertex("a", Owner.MAX, 3),
+                Vertex("b", Owner.MAX, 3),
+                Vertex("c", Owner.MAX, 2),
+                Vertex("l", Owner.MAX, 1),
+            ),
+            (
+                Edge("r", "p", H),
+                Edge("r", "l", H),
+                Edge("p", "a"),
+                Edge("a", "b"),
+                Edge("b", "a"),
+                Edge("b", "c"),
+                Edge("c", "a"),
+                Edge("l", "l"),
+            ),
+        )
+        sol = solve_game(g)
+        assert sol.values == {"r": H, "p": 1, "a": 1, "b": 1, "c": 1, "l": 0}
+        assert sol.sigma_star.move("m0", "b") == "c"

@@ -788,3 +788,35 @@ class TestOutOfRangeFlags:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert flag in captured.err
+
+
+class TestRationalFormExitsTwo:
+    @pytest.mark.parametrize(
+        "prob", ["1/2\n", "١/٢"], ids=["trailing-newline", "arabic-indic"]
+    )
+    def test_game_and_solution_files(self, files, capsys, tmp_path, prob):
+        game = {
+            "vertices": [
+                {"id": "r", "owner": "random", "priority": 1},
+                {"id": "w", "owner": "max", "priority": 0},
+            ],
+            "edges": [
+                {"from": "r", "to": "r", "prob": "1/2"},
+                {"from": "r", "to": "w", "prob": prob},
+                {"from": "w", "to": "w"},
+            ],
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert "malformed rational" in err
+
+        sol = tmp_path / "g2.sol.json"
+        assert run(capsys, "solve", files["g2"], "--out", str(sol))[0] == 0
+        obj = json.loads(sol.read_text())
+        obj["values"]["r"] = prob
+        sol.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", files["g2"], str(sol))
+        assert (code, out) == (2, "")
+        assert "malformed rational" in err

@@ -322,3 +322,14 @@ class TestRandomGame:
             random_game(1, 5, 2, 0, Fraction(1, 3))
         with pytest.raises(ValueError):
             random_game(1, 5, 2, 2, Fraction(3, 2))
+
+
+class TestRationalsAsciiOnly:
+    @pytest.mark.parametrize(
+        "text",
+        ["1/2\n", "١/٢", "1/2\r", "\n1/2", "１/2"],
+        ids=["trailing-newline", "arabic-indic", "trailing-cr", "leading-newline", "fullwidth"],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(GameFormatError):
+            parse_rational(text)
