@@ -776,18 +776,6 @@ class TestSolveGameOnVertexGraph:
         pairs = 2 * 2
         assert sizes == [1, 1] and len(sizes) < pairs
 
-    def test_matches_chain_win_probability_grid(self):
-        # every pair's values, read back through the envelopes: the witness
-        # strategies attain the values against every opponent strategy
-        for g in corpus_games()[:80]:
-            sol = solve_game(g)
-            for tau in iter_memoryless(g, Owner.MIN):
-                p = chain_win_probability(g, sol.sigma_star, tau, g.vertex_ids)
-                assert all(p[v] >= sol.values[v] for v in g.vertex_ids)
-            for sigma in iter_memoryless(g, Owner.MAX):
-                p = chain_win_probability(g, sigma, sol.tau_star, g.vertex_ids)
-                assert all(p[v] <= sol.values[v] for v in g.vertex_ids)
-
     def test_cycle_parity_in_system_key(self):
         # r's edge runs p -> a into a forced cycle through a under both of
         # Max's choices at b; only the cycle's own least priority (odd via
