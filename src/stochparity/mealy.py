@@ -214,7 +214,13 @@ def stubborn_strategy(
 
 def parse_strategy(text: Union[bytes, str]) -> MealyStrategy:
     """Parse a strategy file; fit against a concrete game is checked separately."""
-    obj = _decode(text, "strategy file")
+    return _strategy_from_object(_decode(text, "strategy file"))
+
+
+def _strategy_from_object(obj) -> MealyStrategy:
+    """A strategy from its decoded file object, as `parse_strategy` checks it."""
+    if not isinstance(obj, dict):
+        raise GameFormatError("strategy file: top level must be an object")
     keys = {"player", "memory_states", "initial", "update", "action"}
     _require_keys(obj, keys, keys, "strategy file")
     if obj["player"] not in ("max", "min"):
@@ -264,7 +270,12 @@ def parse_strategy(text: Union[bytes, str]) -> MealyStrategy:
 
 def serialize_strategy(s: MealyStrategy) -> str:
     """Render a strategy in the canonical file format."""
-    obj = {
+    return json.dumps(_strategy_object(s), indent=2) + "\n"
+
+
+def _strategy_object(s: MealyStrategy) -> dict:
+    """The JSON object of a strategy file, keys in canonical order."""
+    return {
         "player": s.player.value,
         "memory_states": sorted(s.memory_states),
         "initial": s.initial,
@@ -277,4 +288,3 @@ def serialize_strategy(s: MealyStrategy) -> str:
             for m, v in sorted(s.action)
         ],
     }
-    return json.dumps(obj, indent=2) + "\n"

@@ -15,20 +15,26 @@ p_i is sampled by drawing a uniform integer below the common
 denominator of the p_i (rejection sampling inside numpy keeps this
 unbiased) and picking the successor whose cumulative numerator range
 contains it. Draws are buffered per denominator; the consumption order
-of the stream is an implementation detail fixed by this version.
+of the stream is an implementation detail fixed by this version. numpy
+draws int64 values, so a row whose common denominator exceeds 2^63 is
+rejected with SimulationError before any play starts.
 
 A walk stops as soon as it enters a closed recurrent class of the
 chain, since the play's winner is already decided there, and is
 Truncated if that takes more than `horizon` steps. Truncated plays are
-excluded from estimates and reported in the result.
+excluded from estimates and reported in the result. A walk jumps over
+each run of forced moves, which draw nothing, but still counts its
+steps, so it truncates exactly where a step-by-step walk would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .chains import Outcome, ProductChain, product_chain
 from .errors import SimulationError
@@ -42,6 +48,8 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 _STDERR_SCALE = 10**12
+_MAX_DEN = 1 << 63  # numpy draws int64 values
+_EMPTY: Iterator[int] = iter(())
 
 
 def stream(seed: int, worker_index: int) -> np.random.Generator:
@@ -84,93 +92,97 @@ class _Draws:
     def __init__(self, gen: np.random.Generator, size: int = 256):
         self.gen = gen
         self.size = size
-        self.buffers: dict[int, np.ndarray] = {}
-        self.used: dict[int, int] = {}
+        self.buffers: dict[int, Iterator[int]] = {}
 
     def below(self, den: int) -> int:
-        i = self.used.get(den, 0)
-        buf = self.buffers.get(den)
-        if buf is None or i >= len(buf):
-            buf = self.gen.integers(0, den, size=self.size)
+        u = next(self.buffers.get(den, _EMPTY), None)
+        if u is None:
+            buf = iter(self.gen.integers(0, den, size=self.size).tolist())
             self.buffers[den] = buf
-            i = 0
-        self.used[den] = i + 1
-        return int(buf[i])
+            u = next(buf)
+        return u
 
 
 class _Sampler:
-    """A chain compiled to index arrays for repeated walks."""
+    """A chain compiled for repeated walks that skip its forced runs.
 
-    def __init__(self, chain: ProductChain, start_vertex: str):
-        self.chain = chain
+    A stop is a state in a closed recurrent class (absorbed) or one with
+    more than one successor (branching). Every move lands on the first
+    stop of the forced run it enters, as (stop, distance in steps,
+    vertices passed); the vertices are kept only when `trace` is set.
+    """
+
+    def __init__(self, chain: ProductChain, start_vertex: str, trace: bool = False):
         index = {s: i for i, s in enumerate(chain.states)}
-        self.vertex = [s[0] for s in chain.states]
-        self.start = index[chain.start[start_vertex]]
-
         self.absorbed: dict[int, tuple[Outcome, frozenset]] = {}
         for c in chain.bsccs():
             o = Outcome.WIN if _max_wins(chain.label[s] for s in c) else Outcome.LOSE
             for s in c:
                 self.absorbed[index[s]] = (o, c)
 
-        # deterministic rows stored as a bare successor index, random rows
-        # as (common denominator, cumulative numerators, successor indices)
-        self.rows: list = []
-        for s in chain.states:
+        # a forced cycle is closed, hence absorbed, so every forced run
+        # outside the absorbed states ends at a stop
+        forced: dict[int, int] = {}
+        for i, s in enumerate(chain.states):
             row = chain.transitions[s]
-            if len(row) == 1:
-                self.rows.append(index[row[0][0]])
-            else:
-                den = math.lcm(*(p.denominator for _, p in row))
-                cum = 0
-                cums, targets = [], []
-                for t, p in row:
-                    cum += p.numerator * (den // p.denominator)
-                    cums.append(cum)
-                    targets.append(index[t])
-                assert cum == den
-                self.rows.append((den, cums, targets))
+            if len(row) == 1 and i not in self.absorbed:
+                forced[i] = index[row[0][0]]
+
+        def land(i: int, moved: int) -> tuple[int, int, tuple[str, ...]]:
+            """Where a move to state i (moved=1), or a start there (0), lands."""
+            run = [i]
+            while i in forced:
+                i = forced[i]
+                run.append(i)
+            passed = tuple(chain.states[j][0] for j in run[1 - moved:]) if trace else ()
+            return i, len(run) - 1 + moved, passed
+
+        self.first = land(index[chain.start[start_vertex]], 0)
+        # the rows of the branching stops a play can reach, as (common
+        # denominator, cumulative numerators, landings)
+        self.rows: dict[int, tuple[int, list[int], list]] = {}
+        todo = [self.first[0]]
+        while todo:
+            i = todo.pop()
+            if i in self.absorbed or i in self.rows:
+                continue
+            s = chain.states[i]
+            row = chain.transitions[s]
+            den = math.lcm(*(p.denominator for _, p in row))
+            if den > _MAX_DEN:
+                raise SimulationError(
+                    f"cannot sample Random vertex {s[0]!r}: the common denominator "
+                    "of its probabilities exceeds 2^63"
+                )
+            cums = list(accumulate(p.numerator * (den // p.denominator) for _, p in row))
+            assert cums[-1] == den
+            landings = [land(index[t], 1) for t, _ in row]
+            self.rows[i] = (den, cums, landings)
+            todo.extend(stop for stop, _, _ in landings)
 
     def walk(
-        self,
-        draws: _Draws,
-        horizon: int,
-        dev: Union[frozenset, None] = None,
-        keep_trace: bool = False,
-    ) -> PlayRecord:
-        idx = self.start
-        steps = 0
-        trace = [self.vertex[idx]] if keep_trace else None
-        first_dev = None
+        self, draws: _Draws, horizon: int, trace: Union[list, None] = None
+    ) -> tuple[Union[int, None], int]:
+        """One play: its absorbed stop and step count, or (None, horizon) if truncated.
+
+        `trace`, if given, gets the vertex of every step appended.
+        """
+        absorbed, rows, below = self.absorbed, self.rows, draws.below
+        stop, steps, passed = self.first
         while True:
-            if dev is not None and first_dev is None and idx in dev:
-                first_dev = steps
-            hit = self.absorbed.get(idx)
-            if hit is not None:
-                outcome, c = hit
-                break
-            if steps >= horizon:
-                outcome, c = Outcome.TRUNCATED, None
-                break
-            row = self.rows[idx]
-            if isinstance(row, int):
-                idx = row
-            else:
-                den, cums, targets = row
-                u = draws.below(den)
-                for cut, t in zip(cums, targets):
-                    if u < cut:
-                        idx = t
-                        break
-            steps += 1
-            if keep_trace:
-                trace.append(self.vertex[idx])
-        return PlayRecord(
-            trace=tuple(trace) if keep_trace else (),
-            outcome=outcome,
-            absorbed_bscc=c,
-            first_deviation=first_dev,
-        )
+            if steps > horizon:
+                if trace is not None:
+                    trace.extend(passed[: len(passed) - (steps - horizon)])
+                return None, horizon
+            if trace is not None:
+                trace.extend(passed)
+            if stop in absorbed:
+                return stop, steps
+            if steps == horizon:
+                return None, horizon
+            den, cums, landings = rows[stop]
+            stop, distance, passed = landings[bisect_right(cums, below(den))]
+            steps += distance
 
 
 def _stderr(p: Fraction, n: int) -> Fraction:
@@ -186,20 +198,23 @@ def _chunks(n: int, workers: int) -> list[int]:
     return [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
 
 
-def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int, dev=None):
+def _check_run(n: int, horizon: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+
+
+def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int):
     """Walk n plays, worker by worker, each chunk on its worker's own stream.
 
     Workers past the n-th would draw nothing, so only min(workers, n)
     streams are made; the plays are the same for any larger count.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     for worker, quota in enumerate(_chunks(n, min(workers, n))):
         draws = _Draws(stream(seed, worker))
         for _ in range(quota):
-            yield sampler.walk(draws, horizon, dev=dev)
+            yield sampler.walk(draws, horizon)
 
 
 def sample_play(
@@ -213,8 +228,11 @@ def sample_play(
     """One exact play under (sigma, tau), reproducible from the seed."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    sampler = _Sampler(product_chain(g, sigma, tau, [start]), start)
-    return sampler.walk(_Draws(stream(seed, 0)), horizon, keep_trace=True)
+    sampler = _Sampler(product_chain(g, sigma, tau, [start]), start, trace=True)
+    trace = [start]
+    stop, _ = sampler.walk(_Draws(stream(seed, 0)), horizon, trace)
+    outcome, c = (Outcome.TRUNCATED, None) if stop is None else sampler.absorbed[stop]
+    return PlayRecord(tuple(trace), outcome, c, None)
 
 
 def estimate_value(
@@ -234,14 +252,16 @@ def estimate_value(
     with denominator 10^12. Raises SimulationError when every sample
     was truncated.
     """
+    _check_run(n, horizon)
     sampler = _Sampler(product_chain(g, sigma, tau, [start]), start)
 
     wins = truncated = 0
-    for rec in _plays(sampler, n, seed, workers, horizon):
-        if rec.outcome is Outcome.WIN:
-            wins += 1
-        elif rec.outcome is Outcome.TRUNCATED:
+    absorbed = sampler.absorbed
+    for stop, _ in _plays(sampler, n, seed, workers, horizon):
+        if stop is None:
             truncated += 1
+        elif absorbed[stop][0] is Outcome.WIN:
+            wins += 1
 
     effective = n - truncated
     if effective == 0:
@@ -273,20 +293,23 @@ def simulate_deviations(
     reported. `cap` bounds the policy enumeration of sigma's quality
     table, as in `deviation_states`.
     """
+    _check_run(n, horizon)
     dev_pairs = deviation_states(g, sigma, vals, m, cap)
     chain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, [start])
     sampler = _Sampler(chain, start)
+    # deviated states loop to themselves, so a play stops on the first one
+    # it reaches, and its step count there is its first-deviation date
     dev_idx = frozenset(
         i for i, s in enumerate(chain.states) if s in absorbing
     )
 
     deviated = truncated = 0
     histogram: dict[int, int] = {}
-    for rec in _plays(sampler, n, seed, workers, horizon, dev=dev_idx):
-        if rec.first_deviation is not None:
+    for stop, steps in _plays(sampler, n, seed, workers, horizon):
+        if stop in dev_idx:
             deviated += 1
-            histogram[rec.first_deviation] = histogram.get(rec.first_deviation, 0) + 1
-        elif rec.outcome is Outcome.TRUNCATED:
+            histogram[steps] = histogram.get(steps, 0) + 1
+        elif stop is None:
             truncated += 1
 
     return DeviationStats(

@@ -60,10 +60,10 @@ from .game import (
 from .mealy import (
     MealyStrategy,
     _memoryless_choices,
+    _strategy_from_object,
+    _strategy_object,
     count_memoryless,
     memoryless,
-    parse_strategy,
-    serialize_strategy,
 )
 
 ValueMap = dict[str, Fraction]
@@ -234,8 +234,8 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
 def serialize_solution(sol: Solution) -> str:
     obj = {
         "values": {v: format_rational(x) for v, x in sorted(sol.values.items())},
-        "sigma_star": json.loads(serialize_strategy(sol.sigma_star)),
-        "tau_star": json.loads(serialize_strategy(sol.tau_star)),
+        "sigma_star": _strategy_object(sol.sigma_star),
+        "tau_star": _strategy_object(sol.tau_star),
         "consistent": sol.consistent,
         "m": "inf" if sol.m == math.inf else format_rational(sol.m),
     }
@@ -260,8 +260,8 @@ def parse_solution(text: Union[bytes, str]) -> Solution:
         m = parse_rational(obj["m"], "m")
     return Solution(
         values=values,
-        sigma_star=parse_strategy(json.dumps(obj["sigma_star"])),
-        tau_star=parse_strategy(json.dumps(obj["tau_star"])),
+        sigma_star=_strategy_from_object(obj["sigma_star"]),
+        tau_star=_strategy_from_object(obj["tau_star"]),
         consistent=obj["consistent"],
         m=m,
     )

@@ -14,6 +14,8 @@ import stochparity.cli as cli
 import stochparity.errors as errors
 import stochparity.resets as resets
 from stochparity import (
+    Edge,
+    GameGraph,
     Owner,
     memoryless,
     parse_game,
@@ -820,3 +822,66 @@ class TestRationalFormExitsTwo:
         code, out, err = run(capsys, "check", files["g2"], str(sol))
         assert (code, out) == (2, "")
         assert "malformed rational" in err
+
+
+class TestDenominatorPastInt64:
+    # t's row has common denominator 2^64 + 1, past numpy's int64 draws
+    @pytest.fixture
+    def coin(self, tmp_path):
+        g = fx.g3()
+        p = Fraction(1, 2**64 + 1)
+        edges = tuple(
+            Edge(e.src, e.dst, p if e.dst == "w" else 1 - p) if e.src == "t" else e
+            for e in g.edges
+        )
+        path = tmp_path / "coin.json"
+        path.write_text(serialize_game(GameGraph("G3-coin", g.vertices, edges)))
+        return str(path)
+
+    def test_simulate_names_the_vertex(self, files, capsys, coin):
+        code, out, err = run(
+            capsys, "simulate", coin, files["sigma3"], files["tau3"], "--start", "s",
+            "--samples", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: cannot sample Random vertex 't': the common denominator "
+            "of its probabilities exceeds 2^63\n"
+        )
+
+    def test_commands_without_draws_still_run(self, files, capsys, coin):
+        # (s, m0) already deviates, so --deviations stops every play at once
+        assert run(capsys, "quality", coin, files["sigma3"])[0] == 0
+        code, out, _ = run(
+            capsys, "simulate", coin, files["sigma3"], files["tau3"], "--start", "s",
+            "--samples", "10", "--deviations",
+        )
+        assert code == 0
+        assert json.loads(out)["histogram"] == {"0": 10}
+
+
+class TestMalformedWitnessInSolution:
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda w: [],
+            lambda w: "max",
+            lambda w: {"player": "max"},
+            lambda w: {**w, "player": "both"},
+        ],
+        ids=["array", "string", "missing-keys", "bad-player"],
+    )
+    @pytest.mark.parametrize("field", ["sigma_star", "tau_star"])
+    def test_exits_two_with_the_strategy_file_message(
+        self, files, capsys, tmp_path, mangle, field
+    ):
+        sol = tmp_path / "g3.sol.json"
+        assert run(capsys, "solve", files["g3"], "--out", str(sol))[0] == 0
+        obj = json.loads(sol.read_text())
+        obj[field] = witness = mangle(obj[field])
+        sol.write_text(json.dumps(obj))
+        with pytest.raises(errors.GameFormatError) as want:
+            parse_strategy(json.dumps(witness))
+        code, out, err = run(capsys, "check", files["g3"], str(sol))
+        assert (code, out) == (2, "")
+        assert err == f"error: {want.value}\n"

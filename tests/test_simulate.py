@@ -2,25 +2,39 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from stochparity import (
+    DeviationStats,
+    Edge,
+    EstimateResult,
+    GameGraph,
     Outcome,
     Owner,
+    PlayRecord,
     SimulationError,
+    Vertex,
+    deviation_states,
     estimate_value,
     memoryless,
+    product_chain,
+    random_game,
     prune_superfluous,
     reset_transform,
     reset_windows,
     sample_play,
     simulate_deviations,
+    solve_game,
     stream,
+    stubborn_strategy,
 )
 from stochparity import fixtures as fx
 from stochparity import simulate
+from stochparity.resets import _deviation_chain
 from stochparity.simulate import _chunks, _stderr
 
 H = Fraction(1, 2)
@@ -262,3 +276,469 @@ class TestWorkersPastN:
         for workers in (n + 3, 10**12):
             assert estimate_value(*value_args, workers=workers) == base
             assert simulate_deviations(*deviation_args, workers=workers) == base_dev
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the step-by-step walk the jumping sampler replaced
+
+
+class ReferenceDraws:
+    """Buffered draws read one numpy scalar at a time."""
+
+    def __init__(self, gen, size=256):
+        self.gen = gen
+        self.size = size
+        self.buffers = {}
+        self.used = {}
+
+    def below(self, den):
+        i = self.used.get(den, 0)
+        buf = self.buffers.get(den)
+        if buf is None or i >= len(buf):
+            buf = self.gen.integers(0, den, size=self.size)
+            self.buffers[den] = buf
+            i = 0
+        self.used[den] = i + 1
+        return int(buf[i])
+
+
+class ReferenceSampler:
+    """One step per move: every forced move is walked, every draw made in turn."""
+
+    def __init__(self, chain, start_vertex):
+        index = {s: i for i, s in enumerate(chain.states)}
+        self.vertex = [s[0] for s in chain.states]
+        self.start = index[chain.start[start_vertex]]
+        self.absorbed = {}
+        for c in chain.bsccs():
+            win = min(chain.label[s] for s in c) % 2 == 0
+            for s in c:
+                self.absorbed[index[s]] = (Outcome.WIN if win else Outcome.LOSE, c)
+        self.rows = []
+        for s in chain.states:
+            row = chain.transitions[s]
+            if len(row) == 1:
+                self.rows.append(index[row[0][0]])
+            else:
+                den = math.lcm(*(p.denominator for _, p in row))
+                cum, cums, targets = 0, [], []
+                for t, p in row:
+                    cum += p.numerator * (den // p.denominator)
+                    cums.append(cum)
+                    targets.append(index[t])
+                self.rows.append((den, cums, targets))
+
+    def walk(self, draws, horizon, dev=frozenset()):
+        """(trace, outcome, absorbed class, first-deviation step) of one play."""
+        idx, steps = self.start, 0
+        trace = [self.vertex[idx]]
+        first_dev = None
+        while True:
+            if first_dev is None and idx in dev:
+                first_dev = steps
+            hit = self.absorbed.get(idx)
+            if hit is not None:
+                outcome, c = hit
+                break
+            if steps >= horizon:
+                outcome, c = Outcome.TRUNCATED, None
+                break
+            row = self.rows[idx]
+            if isinstance(row, int):
+                idx = row
+            else:
+                den, cums, targets = row
+                u = draws.below(den)
+                idx = next(t for cut, t in zip(cums, targets) if u < cut)
+            steps += 1
+            trace.append(self.vertex[idx])
+        return tuple(trace), outcome, c, first_dev
+
+
+def reference_plays(chain, start, n, seed, workers, horizon, dev=frozenset()):
+    """(outcome, first deviation) of n plays, chunked over worker streams."""
+    sampler = ReferenceSampler(chain, start)
+    out = []
+    for worker, quota in enumerate(simulate._chunks(n, min(workers, n))):
+        draws = ReferenceDraws(stream(seed, worker))
+        for _ in range(quota):
+            _, outcome, _, first_dev = sampler.walk(draws, horizon, dev)
+            out.append((outcome, first_dev))
+    return out
+
+
+def sampled_plays(chain, start, n, seed, workers, horizon, dev=frozenset()):
+    """The same pairs, read off the jumping sampler's (stop, steps)."""
+    sampler = simulate._Sampler(chain, start)
+    out = []
+    for stop, steps in simulate._plays(sampler, n, seed, workers, horizon):
+        outcome = Outcome.TRUNCATED if stop is None else sampler.absorbed[stop][0]
+        out.append((outcome, steps if stop in dev else None))
+    return out
+
+
+def reference_estimate(plays, n):
+    wins = sum(o is Outcome.WIN for o, _ in plays)
+    truncated = sum(o is Outcome.TRUNCATED for o, _ in plays)
+    if truncated == n:
+        return None
+    p = Fraction(wins, n - truncated)
+    return EstimateResult(p, _stderr(p, n - truncated), n, truncated)
+
+
+def reference_deviations(plays, n):
+    dates = Counter(d for _, d in plays if d is not None)
+    truncated = sum(o is Outcome.TRUNCATED and d is None for o, d in plays)
+    return DeviationStats(
+        Fraction(sum(dates.values()), n), dict(sorted(dates.items())), n, truncated
+    )
+
+
+HORIZONS = (1, 2, 3, 7, 10_000)
+
+
+def differential_corpus():
+    """(game, sigma, tau, solution) for G3 and 60 seeded 5-7-vertex games.
+
+    Each random game's sigma is its Max witness switched at the first Max
+    choice on that vertex's second visit, so plays carry memory and some
+    (vertex, memory) pairs deviate.
+    """
+    g3 = fx.g3()
+    cases = [(g3, fx.sigma3(), fx.trivial_min(g3), solve_game(g3))]
+    for seed in range(60):
+        g = random_game(seed, 5 + seed % 3, 3, 3, Fraction(1, 3))
+        sol = solve_game(g)
+        sigma = sol.sigma_star
+        good = {v: sigma.move("m0", v) for v in g.owned_by(Owner.MAX)}
+        pivot = next((v for v in good if len(g.successors[v]) > 1), None)
+        if pivot is not None:
+            bad = dict(good)
+            bad[pivot] = next(w for w in g.successors[pivot] if w != good[pivot])
+            sigma = stubborn_strategy(g, good, bad, pivot, 2)
+        cases.append((g, sigma, sol.tau_star, sol))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return differential_corpus()
+
+
+class TestAgainstStepByStepWalk:
+    def test_plays_match(self, corpus):
+        compared = 0
+        for g, sigma, tau, sol in corpus:
+            dev_pairs = (
+                deviation_states(g, sigma, sol.values, sol.m)
+                if sol.m != math.inf else frozenset()
+            )
+            for start in g.vertex_ids:
+                chain = product_chain(g, sigma, tau, [start])
+                dchain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, [start])
+                dev = frozenset(i for i, s in enumerate(dchain.states) if s in absorbing)
+                for horizon in HORIZONS:
+                    for workers in (1, 3):
+                        args = (start, 20, 7, workers, horizon)
+                        assert sampled_plays(chain, *args) == reference_plays(chain, *args)
+                        assert sampled_plays(dchain, *args, dev) == reference_plays(
+                            dchain, *args, dev
+                        )
+                        compared += 1
+        assert compared >= 61 * 5 * 5 * 2
+
+    def test_estimates_and_deviation_stats_match(self, corpus, monkeypatch):
+        # a game's deviated pairs are the same for every start, horizon and
+        # worker count, so its quality table is built once, not per call
+        tables = {}
+        real = simulate.deviation_states
+
+        def once(g, sigma, *args):
+            if id(sigma) not in tables:
+                tables[id(sigma)] = real(g, sigma, *args)
+            return tables[id(sigma)]
+
+        monkeypatch.setattr(simulate, "deviation_states", once)
+        for g, sigma, tau, sol in corpus:
+            dev_pairs = (
+                deviation_states(g, sigma, sol.values, sol.m)
+                if sol.m != math.inf else None
+            )
+            for start in g.vertex_ids:
+                chain = product_chain(g, sigma, tau, [start])
+                if dev_pairs is not None:
+                    dchain, absorbing = _deviation_chain(
+                        g, sigma, tau, dev_pairs, [start]
+                    )
+                    dev = frozenset(
+                        i for i, s in enumerate(dchain.states) if s in absorbing
+                    )
+                for horizon in HORIZONS:
+                    for workers in (1, 3):
+                        n = 20
+                        want = reference_estimate(
+                            reference_plays(chain, start, n, 5, workers, horizon), n
+                        )
+                        args = (g, sigma, tau, start, n, 5, horizon, workers)
+                        if want is None:
+                            with pytest.raises(SimulationError):
+                                estimate_value(*args)
+                        else:
+                            assert estimate_value(*args) == want
+                        if dev_pairs is None:
+                            continue
+                        want_dev = reference_deviations(
+                            reference_plays(dchain, start, n, 5, workers, horizon, dev),
+                            n,
+                        )
+                        got = simulate_deviations(
+                            g, sigma, tau, sol.values, sol.m, start, n, 5,
+                            horizon=horizon, workers=workers,
+                        )
+                        assert got == want_dev
+
+    def test_corpus_reaches_jumps_truncation_and_deviations(self, corpus):
+        # the comparisons above are only as good as the cases they reach
+        jumps = truncated = deviated = 0
+        for g, sigma, tau, sol in corpus:
+            if sol.m == math.inf:
+                continue
+            dev_pairs = deviation_states(g, sigma, sol.values, sol.m)
+            for start in g.vertex_ids:
+                chain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, [start])
+                dev = frozenset(i for i, s in enumerate(chain.states) if s in absorbing)
+                sampler = simulate._Sampler(chain, start)
+                jumps += sum(
+                    d > 1 for _, _, landings in sampler.rows.values()
+                    for _, d, _ in landings
+                )
+                plays = sampled_plays(chain, start, 20, 5, 1, 2, dev)
+                truncated += sum(o is Outcome.TRUNCATED for o, _ in plays)
+                deviated += sum(d is not None for _, d in plays)
+        assert jumps > 0 and truncated > 0 and deviated > 0
+
+    def test_traces_match(self, corpus):
+        for g, sigma, tau, _ in corpus:
+            for start in g.vertex_ids:
+                reference = ReferenceSampler(product_chain(g, sigma, tau, [start]), start)
+                for horizon in HORIZONS[:4]:
+                    for seed in range(3):
+                        trace, outcome, c, _ = reference.walk(
+                            ReferenceDraws(stream(seed, 0)), horizon
+                        )
+                        rec = sample_play(g, sigma, tau, start, seed, horizon)
+                        assert rec == PlayRecord(trace, outcome, c, None)
+
+    def test_sigma3_traces_truncated_and_not(self, g3, sigma3):
+        tau = fx.trivial_min(g3)
+        reference = ReferenceSampler(product_chain(g3, sigma3, tau, ["s"]), "s")
+        kinds = set()
+        for horizon in range(1, 10):
+            for seed in range(20):
+                trace, outcome, c, _ = reference.walk(
+                    ReferenceDraws(stream(seed, 0)), horizon
+                )
+                rec = sample_play(g3, sigma3, tau, "s", seed, horizon)
+                assert rec == PlayRecord(trace, outcome, c, None)
+                assert len(rec.trace) <= horizon + 1
+                kinds.add(rec.outcome)
+        assert kinds == {Outcome.WIN, Outcome.LOSE, Outcome.TRUNCATED}
+
+
+def forced_run_game(coin):
+    """s -> a -> b -> x: a forced run of three moves from s to x.
+
+    With `coin`, x is a Random vertex tossing a fair coin between the
+    sinks w and l, so the run ends on a branching state; without, x is
+    forced into l, so it ends on an absorbed one.
+    """
+    vertices = [
+        Vertex("s", Owner.MAX, 1),
+        Vertex("a", Owner.MAX, 1),
+        Vertex("b", Owner.MAX, 1),
+        Vertex("x", Owner.RANDOM if coin else Owner.MAX, 1),
+        Vertex("w", Owner.MAX, 0),
+        Vertex("l", Owner.MAX, 1),
+    ]
+    edges = [Edge("s", "a"), Edge("a", "b"), Edge("b", "x"), Edge("w", "w"), Edge("l", "l")]
+    if coin:
+        edges += [Edge("x", "w", H), Edge("x", "l", H)]
+    else:
+        edges.append(Edge("x", "l"))
+    return GameGraph("forced-run", tuple(vertices), tuple(edges))
+
+
+class TestJumpAtTheHorizon:
+    # s is forced and three moves from x: the jump from s lands at step 3
+    def test_lands_on_absorbed_target_exactly_at_horizon(self):
+        g = GameGraph(
+            "to-sink",
+            (
+                Vertex("s", Owner.MAX, 1),
+                Vertex("a", Owner.MAX, 1),
+                Vertex("b", Owner.MAX, 1),
+                Vertex("w", Owner.MAX, 0),
+            ),
+            (Edge("s", "a"), Edge("a", "b"), Edge("b", "w"), Edge("w", "w")),
+        )
+        sigma, tau = fx.trivial_max(g), fx.trivial_min(g)
+        rec = sample_play(g, sigma, tau, "s", 0, horizon=3)
+        assert rec.trace == ("s", "a", "b", "w")
+        assert rec.outcome is Outcome.WIN
+        rec = sample_play(g, sigma, tau, "s", 0, horizon=2)
+        assert rec.trace == ("s", "a", "b")
+        assert rec.outcome is Outcome.TRUNCATED
+        assert estimate_value(g, sigma, tau, "s", 5, 0, horizon=3).truncated == 0
+        with pytest.raises(SimulationError):
+            estimate_value(g, sigma, tau, "s", 5, 0, horizon=2)
+
+    def test_forced_into_sink_through_forced_target(self):
+        g = forced_run_game(coin=False)
+        sigma, tau = fx.trivial_max(g), fx.trivial_min(g)
+        assert sample_play(g, sigma, tau, "s", 0, horizon=4).trace == (
+            "s", "a", "b", "x", "l",
+        )
+        rec = sample_play(g, sigma, tau, "s", 0, horizon=3)
+        assert (rec.trace, rec.outcome) == (("s", "a", "b", "x"), Outcome.TRUNCATED)
+
+    def test_branching_target_at_and_past_horizon(self):
+        g = forced_run_game(coin=True)
+        sigma, tau = fx.trivial_max(g), fx.trivial_min(g)
+        chain = product_chain(g, sigma, tau, ["s"])
+        for horizon in (2, 3, 4, 5):
+            for seed in range(10):
+                args = ("s", 6, seed, 2, horizon)
+                assert sampled_plays(chain, *args) == reference_plays(chain, *args)
+        # lands on x at step 3 = horizon, where it must stop before drawing
+        rec = sample_play(g, sigma, tau, "s", 0, horizon=3)
+        assert (rec.trace, rec.outcome) == (("s", "a", "b", "x"), Outcome.TRUNCATED)
+        # one more step is enough to draw the coin
+        rec = sample_play(g, sigma, tau, "s", 0, horizon=4)
+        assert rec.trace[:4] == ("s", "a", "b", "x") and len(rec.trace) == 5
+        assert rec.outcome is not Outcome.TRUNCATED
+        rec = sample_play(g, sigma, tau, "s", 0, horizon=2)
+        assert (rec.trace, rec.outcome) == (("s", "a", "b"), Outcome.TRUNCATED)
+
+    def test_run_after_a_draw(self):
+        # t draws between the sink l and the forced run a -> b -> w
+        g = GameGraph(
+            "draw-then-run",
+            (
+                Vertex("t", Owner.RANDOM, 1),
+                Vertex("a", Owner.MAX, 1),
+                Vertex("b", Owner.MAX, 1),
+                Vertex("w", Owner.MAX, 0),
+                Vertex("l", Owner.MAX, 1),
+            ),
+            (
+                Edge("t", "a", H),
+                Edge("t", "l", H),
+                Edge("a", "b"),
+                Edge("b", "w"),
+                Edge("w", "w"),
+                Edge("l", "l"),
+            ),
+        )
+        sigma, tau = fx.trivial_max(g), fx.trivial_min(g)
+        sampler = simulate._Sampler(product_chain(g, sigma, tau, ["t"]), "t")
+        (_, _, landings), = sampler.rows.values()
+        assert sorted(d for _, d, _ in landings) == [1, 3]
+        chain = product_chain(g, sigma, tau, ["t"])
+        seen = set()
+        for horizon in (1, 2, 3, 4):
+            for seed in range(20):
+                args = ("t", 1, seed, 1, horizon)
+                got = sampled_plays(chain, *args)
+                assert got == reference_plays(chain, *args)
+                rec = sample_play(g, sigma, tau, "t", seed, horizon)
+                seen.add((horizon, rec.trace, rec.outcome))
+        # a play into the run truncates below horizon 3 after its first moves
+        assert (2, ("t", "a", "b"), Outcome.TRUNCATED) in seen
+        assert (3, ("t", "a", "b", "w"), Outcome.WIN) in seen
+        assert (1, ("t", "a"), Outcome.TRUNCATED) in seen
+
+
+def g3_with_coin(den):
+    """G3 with t moving to w with chance 1/den and back to s otherwise."""
+    g = fx.g3()
+    edges = tuple(
+        Edge(e.src, e.dst, Fraction(1, den) if e.dst == "w" else 1 - Fraction(1, den))
+        if e.src == "t" else e
+        for e in g.edges
+    )
+    return GameGraph("G3-coin", g.vertices, edges)
+
+
+class TestDenominatorLimit:
+    def test_row_over_two_to_the_63_is_rejected_before_drawing(self, sigma3, monkeypatch):
+        g = g3_with_coin(2**64 + 1)
+        monkeypatch.setattr(simulate, "stream", None)  # any draw would fail
+        with pytest.raises(SimulationError, match="Random vertex 't'.*2\\^63"):
+            estimate_value(g, sigma3, fx.trivial_min(g), "s", 10, seed=0)
+        with pytest.raises(SimulationError, match="Random vertex 't'"):
+            sample_play(g, sigma3, fx.trivial_min(g), "s", 0)
+
+    def test_row_at_two_to_the_63_draws_as_before(self, sigma3):
+        g = g3_with_coin(2**63)
+        tau = fx.trivial_min(g)
+        chain = product_chain(g, sigma3, tau, ["s"])
+        args = ("s", 300, 4, 2, 10_000)
+        plays = reference_plays(chain, *args)
+        assert sampled_plays(chain, *args) == plays
+        assert estimate_value(g, sigma3, tau, "s", 300, 4, workers=2) == (
+            reference_estimate(plays, 300)
+        )
+
+    def test_row_inside_an_absorbed_class_is_never_drawn(self):
+        # r is a Random vertex on the closed class {r, q}: plays stop on it
+        huge = Fraction(1, 2**64 + 1)
+        g = GameGraph(
+            "closed-coin",
+            (
+                Vertex("s", Owner.MAX, 1),
+                Vertex("r", Owner.RANDOM, 0),
+                Vertex("q", Owner.MAX, 1),
+            ),
+            (
+                Edge("s", "r"),
+                Edge("r", "q", huge),
+                Edge("r", "r", 1 - huge),
+                Edge("q", "r"),
+            ),
+        )
+        sigma, tau = fx.trivial_max(g), fx.trivial_min(g)
+        assert estimate_value(g, sigma, tau, "s", 10, seed=0).estimate == 1
+
+
+class TestArgumentsCheckedFirst:
+    def test_bad_n_or_horizon_builds_nothing(self, g3, sigma3, sol3, monkeypatch):
+        import stochparity.resets as resets
+
+        built = Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(simulate, "product_chain")
+        counting(resets, "product_chain")
+        counting(resets, "mdp_table")
+        tau = fx.trivial_min(g3)
+        bad = ((0, 10, "n must be >= 1"), (10, 0, "horizon must be >= 1"))
+        for n, horizon, message in bad:
+            with pytest.raises(ValueError, match=message):
+                estimate_value(g3, sigma3, tau, "s", n, 0, horizon=horizon)
+            with pytest.raises(ValueError, match=message):
+                simulate_deviations(
+                    g3, sigma3, tau, sol3.values, sol3.m, "s", n, 0, horizon=horizon
+                )
+        assert built == Counter()
+        # the counters do see the builds of a valid call
+        simulate_deviations(g3, sigma3, tau, sol3.values, sol3.m, "s", 5, 0)
+        estimate_value(g3, sigma3, tau, "s", 5, 0)
+        assert built == Counter(product_chain=2, mdp_table=1)

@@ -18,15 +18,19 @@ from stochparity import (
     Vertex,
     check_value_equations,
     dual_game,
+    format_rational,
     is_consistent,
     mdp_table,
     min_positive_value,
     parse_solution,
+    parse_strategy,
     prune_superfluous,
     random_game,
     serialize_solution,
+    serialize_strategy,
     solve_game,
 )
+from stochparity import fixtures as fx
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -220,3 +224,67 @@ class TestSolutionFiles:
         data["values"]["r"] = "0.5"
         with pytest.raises(GameFormatError):
             parse_solution(json.dumps(data))
+
+
+def reference_serialize_solution(sol):
+    """The solution file with each witness rendered to its own file text first."""
+    obj = {
+        "values": {v: format_rational(x) for v, x in sorted(sol.values.items())},
+        "sigma_star": json.loads(serialize_strategy(sol.sigma_star)),
+        "tau_star": json.loads(serialize_strategy(sol.tau_star)),
+        "consistent": sol.consistent,
+        "m": "inf" if sol.m == math.inf else format_rational(sol.m),
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def malformed_witnesses():
+    """Witness objects a solution file may hold that no strategy file accepts."""
+    good = json.loads(serialize_strategy(fx.sigma3()))
+    cases = [None, 3, "max", [], [good], {}, {"player": "max"}, "{}"]
+    for key, value in (
+        ("player", "both"),
+        ("player", None),
+        ("memory_states", []),
+        ("memory_states", ["m0", 1]),
+        ("memory_states", ["m0", "m0"]),
+        ("memory_states", ["m,0"]),
+        ("initial", "m9"),
+        ("initial", ["m0"]),
+        ("update", {}),
+        ("update", [1]),
+        ("update", [{"mem": "m0", "vertex": "s"}]),
+        ("update", [{"mem": "m0", "vertex": "s", "next": 0}]),
+        ("update", [{"mem": "m9", "vertex": "s", "next": "m0"}]),
+        ("update", [{"mem": "m0", "vertex": "s", "next": "m9"}]),
+        ("action", [{"mem": "m0", "vertex": "s", "move": "t"}] * 2),
+        ("action", [{"mem": "m0", "vertex": "s", "move": "t", "extra": 1}]),
+    ):
+        cases.append({**good, key: value})
+    cases.append({**good, "extra": True})
+    return cases
+
+
+class TestSolutionWitnessObjects:
+    def test_serialization_as_through_strategy_files(self, g1, g2, g3):
+        games = [g1, g2, g3, all_zero_game()]
+        for size in range(3, 10):
+            for seed in range(8):
+                games.append(random_game(seed, size, 3, 3, Fraction(1, 3)))
+        for g in games:
+            sol = solve_game(g)
+            text = serialize_solution(sol)
+            assert text == reference_serialize_solution(sol)
+            back = parse_solution(text)
+            assert (back.sigma_star, back.tau_star) == (sol.sigma_star, sol.tau_star)
+
+    @pytest.mark.parametrize("field", ["sigma_star", "tau_star"])
+    def test_malformed_witness_reports_as_a_strategy_file(self, sol3, field):
+        for witness in malformed_witnesses():
+            with pytest.raises(GameFormatError) as want:
+                parse_strategy(json.dumps(witness))
+            data = json.loads(serialize_solution(sol3))
+            data[field] = witness
+            with pytest.raises(GameFormatError) as got:
+                parse_solution(json.dumps(data))
+            assert str(got.value) == str(want.value)
