@@ -6,8 +6,8 @@ up in one of the chain's closed recurrent classes (bottom SCCs) with
 probability one, and visits exactly the vertices of that class
 infinitely often, so the parity condition is decided by the least
 priority inside the class. Win probabilities are therefore exact:
-classify each bottom SCC, then solve the absorption system with
-rational arithmetic.
+classify each bottom SCC, then solve the absorption system exactly,
+with integer rows and fraction-free elimination (`linalg`).
 
 One kernel does both on the collapsed chain: `_collapse` maps every
 forced state (its only positive edge has probability 1) to the first
@@ -177,22 +177,27 @@ def product_chain(
         return tuple(((w, mx2, mn2), p) for w, p in rows)
 
     start = {v: (v, sigma.initial, tau.initial) for v in starts}
-    # breadth-first: `states` doubles as the queue, read up to index i
-    states: list[State] = [start[v] for v in starts]
+    states, transitions = _breadth_first(start.values(), expand)
+    label = {s: g.priority(s[0]) for s in states}
+    return ProductChain(states, transitions, label, start)
+
+
+def _breadth_first(starts: Iterable[State], expand: Callable) -> tuple:
+    """The states reachable from `starts` in breadth-first order, and their rows."""
+    # `states` doubles as the queue, read up to index i
+    states: list[State] = list(starts)
     transitions: dict[State, tuple[tuple[State, Fraction], ...]] = {}
-    label: dict[State, int] = {}
     seen = set(states)
     i = 0
     while i < len(states):
         s = states[i]
         i += 1
-        label[s] = g.priority(s[0])
         transitions[s] = expand(s)
         for t, _ in transitions[s]:
             if t not in seen:
                 seen.add(t)
                 states.append(t)
-    return ProductChain(tuple(states), transitions, label, start)
+    return tuple(states), transitions
 
 
 def bsccs(chain: ProductChain) -> list[frozenset[State]]:
@@ -271,7 +276,8 @@ def _branch_values(rows, end, low, label) -> dict:
     bottom class of branching states, found by Tarjan over the branching
     states only, by the least priority over its members and the forced
     paths of their edges. The branching states off the winning classes
-    that can reach one are the unknowns of the linear system.
+    that can reach one are the unknowns of the linear system; each one's
+    row is built in integers, times the lcm of its probabilities' denominators.
     """
     succ = {b: [end.get(t, t) for t, _ in row] for b, row in rows.items()}
     ends = {e for es in succ.values() for e in es}
@@ -298,16 +304,20 @@ def _branch_values(rows, end, low, label) -> dict:
     unknown = [b for b in rows if b in reach and b not in won]
     pos = {b: i for i, b in enumerate(unknown)}
     n = len(unknown)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
+    matrix, rhs = [], []
     for b in unknown:
-        i = pos[b]
-        matrix[i][i] += 1
+        scale = math.lcm(*(p.denominator for _, p in rows[b]))
+        line = [0] * n
+        line[pos[b]] = scale
+        hit = 0
         for e, (_, p) in zip(succ[b], rows[b]):
+            q = p.numerator * (scale // p.denominator)
             if e in won:
-                rhs[i] += p
+                hit += q
             elif e in pos:
-                matrix[i][pos[e]] -= p
+                line[pos[e]] -= q
+        matrix.append(line)
+        rhs.append(hit)
     solved = solve_linear(matrix, rhs) if n else []
     return {
         b: _ONE if b in won else solved[pos[b]] if b in pos else _ZERO for b in rows

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .chains import ProductChain, State, _absorption, mdp_table, product_chain
+from .chains import (
+    ProductChain, State, _absorption, _breadth_first, mdp_table, product_chain
+)
 from .errors import (
     InconsistentGameError,
     InvalidThresholdError,
@@ -141,9 +143,10 @@ def deviation_date(
     m = _check_threshold(m)
     check_play_prefix(g, prefix)
     q = quality_table(g, sigma, cap)
+    cut = {v: x - m / 2 for v, x in vals.items()}
     mem = sigma.initial
     for i, v in enumerate(prefix):
-        if q[(v, mem)] <= vals[v] - m / 2:
+        if q[(v, mem)] <= cut[v]:
             return i
         mem = sigma.step(mem, v)
     return None
@@ -165,9 +168,8 @@ def deviation_states(
     """
     m = _check_threshold(m)
     q = _table(g, sigma, cap, quality)
-    return frozenset(
-        (v, mem) for (v, mem), x in q.items() if x <= vals[v] - m / 2
-    )
+    cut = {v: x - m / 2 for v, x in vals.items()}
+    return frozenset((v, mem) for (v, mem), x in q.items() if x <= cut[v])
 
 
 def deviation_probability(
@@ -228,15 +230,17 @@ def _deviation_chain(
     """The chain from `starts` with every state on a deviated pair made absorbing.
 
     Returns the chain, whose deviated states loop to themselves with
-    probability 1, and the set of those states.
+    probability 1, and the set of those states; only the states the starts
+    reach over these transitions are kept.
     """
     chain = product_chain(g, sigma, tau, starts)
-    absorbing = frozenset(s for s in chain.states if (s[0], s[1]) in dev)
-    trans = {
-        s: (((s, Fraction(1)),) if s in absorbing else chain.transitions[s])
-        for s in chain.states
-    }
-    return ProductChain(chain.states, trans, chain.label, chain.start), absorbing
+    states, trans = _breadth_first(
+        chain.start.values(),
+        lambda s: ((s, Fraction(1)),) if s[:2] in dev else chain.transitions[s],
+    )
+    label = {s: chain.label[s] for s in states}
+    absorbing = frozenset(s for s in states if s[:2] in dev)
+    return ProductChain(states, trans, label, chain.start), absorbing
 
 
 @dataclass
@@ -294,9 +298,8 @@ def reset_transform(
         )
 
     q = _table(g, sigma, cap, quality)
-    reset_pairs = frozenset(
-        (v, mem) for (v, mem), x in q.items() if x < vals[v] - m / 2
-    )
+    cut = {v: x - m / 2 for v, x in vals.items()}
+    reset_pairs = frozenset((v, mem) for (v, mem), x in q.items() if x < cut[v])
 
     def route(mem: str, v: str) -> str:
         return sigma.initial if (v, mem) in reset_pairs else mem

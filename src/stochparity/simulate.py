@@ -14,10 +14,12 @@ Successor draws at Random vertices are exact: a row with probabilities
 p_i is sampled by drawing a uniform integer below the common
 denominator of the p_i (rejection sampling inside numpy keeps this
 unbiased) and picking the successor whose cumulative numerator range
-contains it. Draws are buffered per denominator; the consumption order
-of the stream is an implementation detail fixed by this version. numpy
-draws int64 values, so a row whose common denominator exceeds 2^63 is
-rejected with SimulationError before any play starts.
+contains it. When a worker's stream starts, every row is bound to the
+draws of its denominator, which fetch a block of 256 from the stream
+only when a draw finds the last block used up, so a play that draws
+nothing fetches nothing; that order of draws is fixed by this version.
+numpy draws int64 values, so a row whose common denominator exceeds
+2^63 is rejected with SimulationError before any play starts.
 
 A walk stops as soon as it enters a closed recurrent class of the
 chain, since the play's winner is already decided there, and is
@@ -29,6 +31,7 @@ steps, so it truncates exactly where a step-by-step walk would.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -49,7 +52,6 @@ if TYPE_CHECKING:
 _MASK64 = (1 << 64) - 1
 _STDERR_SCALE = 10**12
 _MAX_DEN = 1 << 63  # numpy draws int64 values
-_EMPTY: Iterator[int] = iter(())
 
 
 def stream(seed: int, worker_index: int) -> np.random.Generator:
@@ -84,23 +86,6 @@ class DeviationStats:
     histogram: dict[int, int]
     n: int
     truncated: int
-
-
-class _Draws:
-    """Buffered exact uniform draws below arbitrary denominators."""
-
-    def __init__(self, gen: np.random.Generator, size: int = 256):
-        self.gen = gen
-        self.size = size
-        self.buffers: dict[int, Iterator[int]] = {}
-
-    def below(self, den: int) -> int:
-        u = next(self.buffers.get(den, _EMPTY), None)
-        if u is None:
-            buf = iter(self.gen.integers(0, den, size=self.size).tolist())
-            self.buffers[den] = buf
-            u = next(buf)
-        return u
 
 
 class _Sampler:
@@ -160,29 +145,42 @@ class _Sampler:
             self.rows[i] = (den, cums, landings)
             todo.extend(stop for stop, _, _ in landings)
 
-    def walk(
-        self, draws: _Draws, horizon: int, trace: Union[list, None] = None
-    ) -> tuple[Union[int, None], int]:
-        """One play: its absorbed stop and step count, or (None, horizon) if truncated.
+    def plays(
+        self, gen: np.random.Generator, n: int, horizon: int, trace: list | None = None
+    ) -> Iterator[tuple[int | None, int]]:
+        """n plays on one stream: each one's absorbed stop and step count.
 
-        `trace`, if given, gets the vertex of every step appended.
+        A truncated play gives (None, horizon). `trace`, if given, gets the
+        vertex of every step appended.
         """
-        absorbed, rows, below = self.absorbed, self.rows, draws.below
-        stop, steps, passed = self.first
-        while True:
-            if steps > horizon:
+        absorbed = self.absorbed
+        # bind every row to its denominator's draws; rows that share one share them
+        draws = {den: _draws(gen, den) for den, _, _ in self.rows.values()}
+        rows = {i: (draws[den], c, ls) for i, (den, c, ls) in self.rows.items()}
+        for _ in range(n):
+            stop, steps, passed = self.first
+            while steps <= horizon:
+                if trace is not None:
+                    trace.extend(passed)
+                if stop in absorbed or steps == horizon:
+                    break
+                below, cums, landings = rows[stop]
+                stop, distance, passed = landings[bisect_right(cums, next(below))]
+                steps += distance
+            else:
+                # the last jump passed the horizon: trace only what fits
                 if trace is not None:
                     trace.extend(passed[: len(passed) - (steps - horizon)])
-                return None, horizon
-            if trace is not None:
-                trace.extend(passed)
-            if stop in absorbed:
-                return stop, steps
-            if steps == horizon:
-                return None, horizon
-            den, cums, landings = rows[stop]
-            stop, distance, passed = landings[bisect_right(cums, below(den))]
-            steps += distance
+            if steps > horizon or stop not in absorbed:
+                stop, steps = None, horizon
+            yield stop, steps
+
+
+def _draws(gen: np.random.Generator, den: int) -> Iterator[int]:
+    """Uniform draws below den, fetched from gen a block of 256 at a time."""
+    return itertools.chain.from_iterable(
+        gen.integers(0, den, size=256).tolist() for _ in itertools.repeat(None)
+    )
 
 
 def _stderr(p: Fraction, n: int) -> Fraction:
@@ -212,9 +210,7 @@ def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int):
     streams are made; the plays are the same for any larger count.
     """
     for worker, quota in enumerate(_chunks(n, min(workers, n))):
-        draws = _Draws(stream(seed, worker))
-        for _ in range(quota):
-            yield sampler.walk(draws, horizon)
+        yield from sampler.plays(stream(seed, worker), quota, horizon)
 
 
 def sample_play(
@@ -226,11 +222,10 @@ def sample_play(
     horizon: int = 10_000,
 ) -> PlayRecord:
     """One exact play under (sigma, tau), reproducible from the seed."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_run(1, horizon)
     sampler = _Sampler(product_chain(g, sigma, tau, [start]), start, trace=True)
     trace = [start]
-    stop, _ = sampler.walk(_Draws(stream(seed, 0)), horizon, trace)
+    stop, _ = next(sampler.plays(stream(seed, 0), 1, horizon, trace))
     outcome, c = (Outcome.TRUNCATED, None) if stop is None else sampler.absorbed[stop]
     return PlayRecord(tuple(trace), outcome, c, None)
 
@@ -299,9 +294,7 @@ def simulate_deviations(
     sampler = _Sampler(chain, start)
     # deviated states loop to themselves, so a play stops on the first one
     # it reaches, and its step count there is its first-deviation date
-    dev_idx = frozenset(
-        i for i, s in enumerate(chain.states) if s in absorbing
-    )
+    dev_idx = frozenset(i for i, s in enumerate(chain.states) if s in absorbing)
 
     deviated = truncated = 0
     histogram: dict[int, int] = {}

@@ -18,6 +18,7 @@ from stochparity import (
     PlayRecord,
     SimulationError,
     Vertex,
+    deviation_probabilities,
     deviation_states,
     estimate_value,
     memoryless,
@@ -34,6 +35,7 @@ from stochparity import (
 )
 from stochparity import fixtures as fx
 from stochparity import simulate
+from stochparity.chains import _absorption
 from stochparity.resets import _deviation_chain
 from stochparity.simulate import _chunks, _stderr
 
@@ -742,3 +744,102 @@ class TestArgumentsCheckedFirst:
         simulate_deviations(g3, sigma3, tau, sol3.values, sol3.m, "s", 5, 0)
         estimate_value(g3, sigma3, tau, "s", 5, 0)
         assert built == Counter(product_chain=2, mdp_table=1)
+
+
+class CountingGenerator:
+    """A generator that records every block of draws asked of it."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = []
+
+    def integers(self, low, high, size):
+        self.calls.append((low, high, size))
+        return self.gen.integers(low, high, size=size)
+
+
+def two_coins_game():
+    """s tosses a fair coin between a and b, and each tosses one between w and l."""
+    vertices = [
+        Vertex("s", Owner.RANDOM, 1),
+        Vertex("a", Owner.RANDOM, 1),
+        Vertex("b", Owner.RANDOM, 1),
+        Vertex("w", Owner.MAX, 0),
+        Vertex("l", Owner.MAX, 1),
+    ]
+    edges = [Edge("s", "a", H), Edge("s", "b", H), Edge("w", "w"), Edge("l", "l")]
+    edges += [Edge(v, t, H) for v in "ab" for t in "wl"]
+    return GameGraph("two-coins", tuple(vertices), tuple(edges))
+
+
+class TestDrawOrder:
+    def test_play_without_a_draw_fetches_nothing(self):
+        # the coin at x is compiled but lies past the horizon
+        g = forced_run_game(coin=True)
+        chain = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
+        sampler = simulate._Sampler(chain, "s")
+        assert len(sampler.rows) == 1
+        gen = CountingGenerator(stream(0, 0))
+        assert list(sampler.plays(gen, 5, 2)) == [(None, 2)] * 5
+        assert gen.calls == []
+        (stop, steps), = sampler.plays(gen, 1, 4)
+        assert stop is not None and steps == 4
+        assert gen.calls == [(0, 2, 256)]
+
+    def test_rows_with_one_denominator_share_a_block(self):
+        g = two_coins_game()
+        chain = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
+        sampler = simulate._Sampler(chain, "s")
+        assert sorted(den for den, _, _ in sampler.rows.values()) == [2, 2, 2]
+        gen = CountingGenerator(stream(3, 0))
+        plays = sampler.plays(gen, 129, 10)
+        # every play draws twice, so 128 plays use up exactly one block
+        for _ in range(128):
+            next(plays)
+        assert gen.calls == [(0, 2, 256)]
+        next(plays)
+        assert gen.calls == [(0, 2, 256)] * 2
+        args = ("s", 129, 3, 1, 10)
+        assert sampled_plays(chain, *args) == reference_plays(chain, *args)
+
+
+class TestDeviationChainReachableOnly:
+    def test_sigma3(self, g3, sigma3, sol3):
+        dev = deviation_states(g3, sigma3, sol3.values, sol3.m)
+        tau = fx.trivial_min(g3)
+        chain, absorbing = _deviation_chain(g3, sigma3, tau, dev, ["s"])
+        assert len(product_chain(g3, sigma3, tau, ["s"]).states) == 11
+        assert len(chain.states) == 7
+        assert absorbing == {("s", "m2", "m0")}
+        assert set(chain.transitions) == set(chain.label) == set(chain.states)
+
+    def test_deviated_start_is_the_whole_chain(self, sigma3):
+        g = g3_with_coin(2**64 + 1)
+        sol = solve_game(g)
+        dev = deviation_states(g, sigma3, sol.values, sol.m)
+        assert ("s", "m0") in dev
+        chain, absorbing = _deviation_chain(g, sigma3, fx.trivial_min(g), dev, ["s"])
+        assert chain.states == (("s", "m0", "m0"),)
+        assert absorbing == set(chain.states)
+
+    def test_same_probabilities_as_the_unpruned_chain(self, corpus):
+        checked = pruned = 0
+        for g, sigma, tau, sol in corpus:
+            if sol.m == math.inf:
+                continue
+            dev = deviation_states(g, sigma, sol.values, sol.m)
+            full = product_chain(g, sigma, tau, g.vertex_ids)
+            absorbing = frozenset(s for s in full.states if s[:2] in dev)
+            trans = {
+                s: ((s, Fraction(1)),) if s in absorbing else full.transitions[s]
+                for s in full.states
+            }
+            hit = _absorption(full.states, trans, absorbing)
+            got = deviation_probabilities(
+                g, sigma, tau, sol.values, sol.m, g.vertex_ids
+            )
+            assert got == {v: hit[s] for v, s in full.start.items()}
+            chain, _ = _deviation_chain(g, sigma, tau, dev, g.vertex_ids)
+            pruned += len(chain.states) < len(full.states)
+            checked += 1
+        assert checked > 30 and pruned > 0
