@@ -133,20 +133,20 @@ def deviation_date(
     prefix: PlayPrefix,
     cap: int = 2**20,
 ) -> Union[int, None]:
-    """First position along the prefix where quality drops to val - m/2 or below.
+    """First position along the prefix at a pair of `deviation_states`.
 
-    The inclusive comparison makes this the date of a confirmed
-    deviation; the reset machinery uses the strict comparison instead,
-    so a pair sitting exactly on the boundary counts as deviated here
-    but does not trigger a reset.
+    That is where quality drops to val - m/2 or below. The inclusive
+    comparison makes this the date of a confirmed deviation; the reset
+    machinery uses the strict comparison instead, so a pair sitting
+    exactly on the boundary counts as deviated here but does not
+    trigger a reset.
     """
     m = _check_threshold(m)
     check_play_prefix(g, prefix)
-    q = quality_table(g, sigma, cap)
-    cut = {v: x - m / 2 for v, x in vals.items()}
+    dev = deviation_states(g, sigma, vals, m, cap)
     mem = sigma.initial
     for i, v in enumerate(prefix):
-        if q[(v, mem)] <= cut[v]:
+        if (v, mem) in dev:
             return i
         mem = sigma.step(mem, v)
     return None

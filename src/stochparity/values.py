@@ -83,11 +83,13 @@ class Solution:
 
 
 def check_value_equations(g: GameGraph, vals: ValueMap) -> list[str]:
-    """Local value equation violations; empty means vals is a fixed point."""
-    out: list[str] = []
-    for v in g.vertex_ids:
-        if v not in vals:
-            out.append(f"no value for vertex {v!r}")
+    """Local value equation violations; empty means vals is a fixed point.
+
+    vals must hold a value for each vertex of g and for no other; a
+    missing or unknown vertex is reported before any equation is checked.
+    """
+    out = [f"no value for vertex {v!r}" for v in g.vertex_ids if v not in vals]
+    out += [f"value for unknown vertex {v!r}" for v in vals if v not in g.by_id]
     if out:
         return out
     for v in g.vertex_ids:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
@@ -17,10 +18,15 @@ from stochparity import (
     Edge,
     GameGraph,
     Owner,
+    check_value_equations,
+    enumerate_memoryless,
+    is_consistent,
     memoryless,
     parse_game,
     parse_solution,
     parse_strategy,
+    product_chain,
+    prune_superfluous,
     random_game,
     serialize_game,
     serialize_strategy,
@@ -30,6 +36,7 @@ from stochparity import (
 )
 from stochparity import fixtures as fx
 from stochparity.cli import _build_parser, main
+from test_acceptance import corpus_games
 
 ALL_ZERO_GAME = """
 {
@@ -151,6 +158,18 @@ class TestCheck:
         assert code == 1
         assert "FAIL consistent-flag" in out
 
+    def test_value_for_unknown_vertex(self, files, capsys, tmp_path):
+        # G1's true m is 1; an extra vertex valued 1/3 must not make m = 1/3 pass
+        sol_path = tmp_path / "sol.json"
+        run(capsys, "solve", files["g1"], "--out", str(sol_path))
+        data = json.loads(sol_path.read_text())
+        data["values"]["zz"] = "1/3"
+        data["m"] = "1/3"
+        sol_path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "check", files["g1"], str(sol_path))
+        assert code == 1
+        assert "FAIL value-equations: value for unknown vertex 'zz'" in out.splitlines()
+
 
 class TestPrune:
     def test_stdout(self, files, capsys):
@@ -211,6 +230,77 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", str(p))
             assert code == 0, (seed, out)
             assert "FAIL" not in out
+
+
+def martingale_by_enumeration(game, vals):
+    """One-step martingale under every memoryless pair, one product chain each."""
+    for sigma, tau in itertools.product(
+        enumerate_memoryless(game, Owner.MAX), enumerate_memoryless(game, Owner.MIN)
+    ):
+        chain = product_chain(game, sigma, tau, game.vertex_ids)
+        for s in chain.states:
+            mean = sum((p * vals[t[0]] for t, p in chain.transitions[s]), Fraction(0))
+            if mean != vals[s[0]]:
+                return False
+    return True
+
+
+class TestMartingaleFromValueEquations:
+    def test_equals_enumeration_on_corpus(self):
+        verdicts = []
+        for g in corpus_games():
+            vals = solve_game(g).values
+            for game in (g, prune_superfluous(g, vals)):
+                rule = is_consistent(game, vals) and not check_value_equations(game, vals)
+                assert rule == martingale_by_enumeration(game, vals), game.name
+                verdicts.append(rule)
+        assert len(verdicts) == 406 and verdicts.count(False) == 21
+
+    def test_all_zero_game_builds_no_product_chain(self, files, capsys, monkeypatch):
+        calls = []
+        real = cli.product_chain
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "product_chain", counting)
+        code, out, _ = run(capsys, "verify", files["zero"])
+        assert code == 0, out
+        assert "PASS one-step-martingale" in out.splitlines()
+        assert calls == []
+
+    def test_changing_edge_fails_with_fixed_sentence(self, files, capsys, monkeypatch):
+        # an unpruned G3 keeps the losing edge s->l
+        monkeypatch.setattr(cli, "prune_superfluous", lambda g, vals: g)
+        code, out, _ = run(capsys, "verify", files["g3"])
+        assert code != 0  # later checks stop on the inconsistent game
+        lines = out.splitlines()
+        assert (
+            "FAIL pruned-consistent: pruned game still has value-changing "
+            "controlled edges"
+        ) in lines
+        assert "FAIL one-step-martingale: a controlled edge changes the value" in lines
+
+    def test_random_row_fails_with_its_violation(self, files, capsys, monkeypatch):
+        # G2 with its coin reweighted to 1/4 no longer averages r's value 1/2
+        biased = GameGraph(
+            "G2",
+            fx.g2().vertices,
+            (
+                Edge("r", "w", Fraction(1, 4)),
+                Edge("r", "l", Fraction(3, 4)),
+                Edge("w", "w"),
+                Edge("l", "l"),
+            ),
+        )
+        monkeypatch.setattr(cli, "prune_superfluous", lambda g, vals: biased)
+        code, out, _ = run(capsys, "verify", files["g2"])
+        assert code != 0  # later checks stop on the stale values
+        assert (
+            "FAIL one-step-martingale: value equation fails at 'r': stored 1/2, "
+            "successors give 1/4"
+        ) in out.splitlines()
 
 
 class TestQualityAndLowerValue:

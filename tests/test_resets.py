@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from stochparity import (
+    CapExceededError,
     Edge,
     GameGraph,
     IllegalPlayError,
@@ -173,6 +174,15 @@ class TestDeviationDate:
             deviation_date(g3, sigma3, sol3.values, math.inf, ("s",))
         with pytest.raises(InvalidThresholdError):
             deviation_date(g3, sigma3, sol3.values, ZERO, ("s",))
+
+    def test_errors_in_order(self, g1, sol1):
+        # the threshold, then the prefix, then the table under its cap
+        with pytest.raises(InvalidThresholdError):
+            deviation_date(g1, to_w(g1), sol1.values, math.inf, ("a", "zz"), cap=0)
+        with pytest.raises(IllegalPlayError):
+            deviation_date(g1, to_w(g1), sol1.values, sol1.m, ("a", "zz"), cap=0)
+        with pytest.raises(CapExceededError):
+            deviation_date(g1, to_w(g1), sol1.values, sol1.m, ("a",), cap=0)
 
 
 class TestDeviationStates:

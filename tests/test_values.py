@@ -116,6 +116,10 @@ class TestValueEquations:
         msgs = check_value_equations(g1, {"a": ONE, "w": ONE})
         assert any("no value" in m and "'l'" in m for m in msgs)
 
+    def test_value_for_unknown_vertex(self, g1):
+        vals = {"a": ONE, "w": ONE, "l": ZERO, "zz": Fraction(1, 3)}
+        assert check_value_equations(g1, vals) == ["value for unknown vertex 'zz'"]
+
     def test_min_vertex(self, g3):
         d = dual_game(g3)
         vals = {"s": ZERO, "t": ZERO, "w": ZERO, "l": ONE}
