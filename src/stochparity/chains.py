@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
@@ -69,14 +69,9 @@ class ProductChain:
     transitions: dict[State, tuple[tuple[State, Fraction], ...]]
     label: dict[State, int]
     start: dict[str, State]
-    _bsccs: list[frozenset[State]] | None = field(default=None, repr=False)
 
     def bsccs(self) -> list[frozenset[State]]:
-        if self._bsccs is None:
-            self._bsccs = _bottom_sccs(
-                self.states, lambda s: [t for t, _ in self.transitions[s]]
-            )
-        return self._bsccs
+        return _bottom_sccs(self.states, lambda s: [t for t, _ in self.transitions[s]])
 
 
 def _tarjan_sccs(

@@ -69,6 +69,10 @@ from .values import (
     solve_game,
 )
 
+# verify's lines after pruning, and those that rest on the martingale
+_PRUNED_LINES = ("prune-preserves-values", "pruned-consistent", "one-step-martingale")
+_REPAIR_LINES = ("deviation-bound", "reset-optimality", "resets-settle")
+
 # exit status of each error class main reports; any other error exits 2
 _EXIT_STATUS = {
     CapExceededError: 3,
@@ -119,14 +123,15 @@ def cmd_check(args) -> int:
     violations = check_value_equations(g, sol.values)
     _report("value-equations", not violations, "; ".join(violations), failures)
 
-    consistent = is_consistent(g, sol.values) if not violations else None
-    _report(
-        "consistent-flag",
-        violations == [] and consistent == sol.consistent,
-        f"file says {sol.consistent}, values give {consistent}",
-        failures,
-    )
-    m = min_positive_value(sol.values)
+    # the flag and m read the game's own vertices alone, so a value for an
+    # unknown vertex counts against value-equations only
+    own = {v: sol.values[v] for v in g.vertex_ids if v in sol.values}
+    consistent = is_consistent(g, own) if len(own) == len(g.vertex_ids) else None
+    detail = f"file says {sol.consistent}, values give {consistent}"
+    if consistent is None:
+        detail = "cannot be checked: a vertex has no value"
+    _report("consistent-flag", consistent == sol.consistent, detail, failures)
+    m = min_positive_value(own)
     _report("m-field", sol.m == m, f"file says {sol.m}, values give {m}", failures)
 
     bad = validate_strategy(g, sol.sigma_star) + validate_strategy(g, sol.tau_star)
@@ -162,32 +167,27 @@ def _report(name: str, ok: bool, detail: str, failures: list) -> None:
 
 def _verify_candidates(
     g: GameGraph, pruned: GameGraph, sol: Solution, cap: int
-) -> list[tuple[MealyStrategy, QualityTable]]:
-    """sigma_star plus stubborn one-edge deviations that stay (m/4)-optimal.
+) -> list[tuple[MealyStrategy, QualityTable, Fraction]]:
+    """sigma_star plus up to 8 stubborn one-edge deviations that stay (m/4)-optimal.
 
     Each candidate comes with its quality table on the pruned game, built
-    once here (the gap test needs it) and reused by every later check.
+    once here and reused by every later check, and its optimality gap.
     """
-    out = [(sol.sigma_star, quality_table(pruned, sol.sigma_star, cap))]
-    if sol.m == math.inf:
-        return out
+
+    def with_gap(sigma):
+        q = quality_table(pruned, sigma, cap)
+        return sigma, q, optimality_gap(pruned, sigma, sol.values, quality=q)
+
     moves = {v: sol.sigma_star.move("m0", v) for v in g.owned_by(Owner.MAX)}
-    budget = 8
-    for pivot in g.owned_by(Owner.MAX):
-        for alt in g.successors[pivot]:
-            if alt == moves[pivot]:
-                continue
-            bad = dict(moves)
-            bad[pivot] = alt
-            for k in (2, 3):
-                if budget == 0:
-                    return out
-                cand = stubborn_strategy(g, moves, bad, pivot, k)
-                q = quality_table(pruned, cand, cap)
-                if optimality_gap(pruned, cand, sol.values, quality=q) <= sol.m / 4:
-                    out.append((cand, q))
-                    budget -= 1
-    return out
+    stubborn = (
+        stubborn_strategy(g, moves, {**moves, pivot: alt}, pivot, k)
+        for pivot in g.owned_by(Owner.MAX)
+        for alt in g.successors[pivot]
+        if alt != moves[pivot]
+        for k in (2, 3)
+    )
+    fit = ((s, q, gap) for s, q, gap in map(with_gap, stubborn) if gap <= sol.m / 4)
+    return [with_gap(sol.sigma_star), *itertools.islice(fit, 8)]
 
 
 def cmd_verify(args) -> int:
@@ -208,86 +208,85 @@ def cmd_verify(args) -> int:
         failures,
     )
 
-    pruned = prune_superfluous(g, sol.values)
-    resolved = solve_game(pruned, cap=args.cap)
-    _report(
-        "prune-preserves-values",
-        resolved.values == sol.values,
-        "pruned game solves to different values",
-        failures,
-    )
-    # every controlled edge keeping the value and every Random row
-    # averaging it is exactly a one-step martingale under every pair
-    consistent = is_consistent(pruned, sol.values)
-    _report(
-        "pruned-consistent",
-        consistent,
-        "pruned game still has value-changing controlled edges",
-        failures,
-    )
-    violations = check_value_equations(pruned, sol.values)
-    _report(
-        "one-step-martingale",
-        consistent and not violations,
-        "; ".join(violations) or "a controlled edge changes the value",
-        failures,
-    )
+    # pruning needs values that solve the equations
+    if "value-equations" in failures:
+        for name in _PRUNED_LINES:
+            _report(name, False, "not run: value-equations failed", failures)
+    else:
+        pruned = prune_superfluous(g, sol.values)
+        resolved = solve_game(pruned, cap=args.cap)
+        _report(
+            "prune-preserves-values",
+            resolved.values == sol.values,
+            "pruned game solves to different values",
+            failures,
+        )
+        # every controlled edge keeping the value and every Random row
+        # averaging it is exactly a one-step martingale under every pair
+        consistent = is_consistent(pruned, sol.values)
+        _report(
+            "pruned-consistent",
+            consistent,
+            "pruned game still has value-changing controlled edges",
+            failures,
+        )
+        violations = check_value_equations(pruned, sol.values)
+        _report(
+            "one-step-martingale",
+            consistent and not violations,
+            "; ".join(violations) or "a controlled edge changes the value",
+            failures,
+        )
 
+    # the deviation bound and the reset repair rest on the martingale
+    if "one-step-martingale" in failures:
+        for name in _REPAIR_LINES:
+            _report(name, False, "not run: one-step-martingale failed", failures)
+        return 1
     if sol.m == math.inf:
-        print("PASS deviation-bound (vacuous: all values zero)")
-        print("PASS reset-optimality (vacuous: all values zero)")
-        print("PASS resets-settle (vacuous: all values zero)")
+        for name in _REPAIR_LINES:
+            print(f"PASS {name} (vacuous: all values zero)")
         return 1 if failures else 0
 
     candidates = _verify_candidates(g, pruned, sol, args.cap)
     taus = list(itertools.islice(enumerate_memoryless(pruned, Owner.MIN), 2**12))
 
-    ok = True
     detail = ""
-    for sigma, q in candidates:
-        eps = optimality_gap(pruned, sigma, sol.values, quality=q)
-        bound = deviation_bound(eps, sol.m)
-        for tau in taus:
-            ps = deviation_probabilities(
-                pruned, sigma, tau, sol.values, sol.m, pruned.vertex_ids, quality=q
-            )
-            for v in pruned.vertex_ids:
-                if ps[v] > bound:
-                    ok = False
-                    detail = f"from {v}: deviation probability {ps[v]} exceeds {bound}"
-                    break
-            if not ok:
-                break
-        if not ok:
+    bounds = [(sigma, q, deviation_bound(gap, sol.m)) for sigma, q, gap in candidates]
+    for (sigma, q, bound), tau in itertools.product(bounds, taus):
+        ps = deviation_probabilities(
+            pruned, sigma, tau, sol.values, sol.m, pruned.vertex_ids, quality=q
+        )
+        over = next((v for v in pruned.vertex_ids if ps[v] > bound), None)
+        if over is not None:
+            detail = f"from {over}: deviation probability {ps[over]} exceeds {bound}"
             break
-    _report("deviation-bound", ok, detail, failures)
+    _report("deviation-bound", not detail, detail, failures)
 
-    ok = True
-    settled = True
-    detail = sdetail = ""
-    for sigma, q in candidates:
+    detail = unsettled = ""
+    for sigma, q, _ in candidates:
         try:
             rs = reset_transform(pruned, sigma, sol.values, sol.m, quality=q)
         except StrategyError:
             # the base strategy plays a pruned edge from a pair that does
             # not reset; such machines are outside the transform's domain
             continue
-        # with no reset pairs the compiled machine is the base machine
+        # with no reset pairs the compiled machine is the base machine,
+        # and no state of its chains can reset
         lo = lower_value(
             pruned, rs.strategy, args.cap, quality=None if rs.reset_pairs else q
         )
         if lo != sol.values:
-            ok = False
             detail = f"reset strategy guarantees {lo}, values are {sol.values}"
-        for tau in taus:
-            chain = product_chain(pruned, rs.strategy, tau, pruned.vertex_ids)
-            for c in chain.bsccs():
-                if any((s[0], s[1]) in rs.reset_pairs for s in c):
-                    settled = False
-                    sdetail = "a recurrent class still triggers resets"
-    _report("reset-optimality", ok, detail, failures)
-    _report("resets-settle", settled, sdetail, failures)
-
+        if rs.reset_pairs and any(
+            s[:2] in rs.reset_pairs
+            for tau in taus
+            for c in product_chain(pruned, rs.strategy, tau, pruned.vertex_ids).bsccs()
+            for s in c
+        ):
+            unsettled = "a recurrent class still triggers resets"
+    _report("reset-optimality", not detail, detail, failures)
+    _report("resets-settle", not unsettled, unsettled, failures)
     return 1 if failures else 0
 
 

@@ -72,13 +72,7 @@ def g3() -> GameGraph:
 
 def sigma3() -> MealyStrategy:
     """Try the coin on the first three visits to s, then give up."""
-    return stubborn_strategy(
-        g3(),
-        good={"s": "t", "w": "w", "l": "l"},
-        bad={"s": "l", "w": "w", "l": "l"},
-        pivot="s",
-        k=4,
-    )
+    return stubborn3(4)
 
 
 def stubborn3(k: int) -> MealyStrategy:

@@ -213,7 +213,6 @@ def deviation_probabilities(
     depends only on the states it can reach, so each start gets exactly
     the value its own chain would give.
     """
-    m = _check_threshold(m)
     dev = deviation_states(g, sigma, vals, m, cap, quality=quality)
     chain, absorbing = _deviation_chain(g, sigma, tau, dev, starts)
     hit = _absorption(chain.states, chain.transitions, absorbing)

@@ -90,6 +90,13 @@ class TestProductChain:
             ("l", "m3", "m0"): Fraction(1)
         }
 
+    def test_equal_chains_stay_equal_after_bsccs(self, g3, sigma3):
+        a = product_chain(g3, sigma3, fx.trivial_min(g3), ["s"])
+        b = product_chain(g3, sigma3, fx.trivial_min(g3), ["s"])
+        assert a == b
+        a.bsccs()
+        assert a == b
+
     def test_multiple_starts(self, g3, sigma3):
         chain = product_chain(g3, sigma3, fx.trivial_min(g3), ["s", "w"])
         assert chain.start == {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -171,6 +172,53 @@ class TestCheck:
         assert "FAIL value-equations: value for unknown vertex 'zz'" in out.splitlines()
 
 
+G1_VALUES = {"a": "1/1", "l": "0/1", "w": "1/1"}
+
+
+class TestCheckReadsOwnVertices:
+    """`consistent-flag` and `m-field` read only the game's own vertices."""
+
+    def check_g1(self, files, capsys, tmp_path, values, m="1/1"):
+        """`check` on G1's solution file with its values and m replaced."""
+        sol_path = tmp_path / "sol.json"
+        run(capsys, "solve", files["g1"], "--out", str(sol_path))
+        data = json.loads(sol_path.read_text())
+        data.update(values=values, m=m)
+        sol_path.write_text(json.dumps(data))
+        return run(capsys, "check", files["g1"], str(sol_path))
+
+    def test_unknown_vertex_fails_value_equations_only(self, files, capsys, tmp_path):
+        values = {**G1_VALUES, "zz": "1/3"}
+        code, out, _ = self.check_g1(files, capsys, tmp_path, values)
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL value-equations: value for unknown vertex 'zz'",
+            "PASS consistent-flag",
+            "PASS m-field",
+            "PASS witness-strategies",
+        ]
+
+    def test_m_from_unknown_vertex_fails(self, files, capsys, tmp_path):
+        values = {**G1_VALUES, "zz": "1/3"}
+        code, out, _ = self.check_g1(files, capsys, tmp_path, values, m="1/3")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL value-equations: value for unknown vertex 'zz'",
+            "PASS consistent-flag",
+            "FAIL m-field: file says 1/3, values give 1",
+            "PASS witness-strategies",
+        ]
+
+    def test_missing_vertex_leaves_flag_unchecked(self, files, capsys, tmp_path):
+        values = {"a": "1/1", "w": "1/1"}
+        code, out, _ = self.check_g1(files, capsys, tmp_path, values)
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL value-equations: no value for vertex 'l'" in lines
+        assert "FAIL consistent-flag: cannot be checked: a vertex has no value" in lines
+        assert not any("values give None" in line for line in lines)
+
+
 class TestPrune:
     def test_stdout(self, files, capsys):
         code, out, err = run(capsys, "prune", files["g3"])
@@ -301,6 +349,99 @@ class TestMartingaleFromValueEquations:
             "FAIL one-step-martingale: value equation fails at 'r': stored 1/2, "
             "successors give 1/4"
         ) in out.splitlines()
+
+
+def biased_g2():
+    """G2 with its coin reweighted to 1/4, so r's value 1/2 is no longer averaged."""
+    return GameGraph(
+        "G2",
+        fx.g2().vertices,
+        (
+            Edge("r", "w", Fraction(1, 4)),
+            Edge("r", "l", Fraction(3, 4)),
+            Edge("w", "w"),
+            Edge("l", "l"),
+        ),
+    )
+
+
+NOT_RUN_AFTER_MARTINGALE = [
+    "FAIL deviation-bound: not run: one-step-martingale failed",
+    "FAIL reset-optimality: not run: one-step-martingale failed",
+    "FAIL resets-settle: not run: one-step-martingale failed",
+]
+
+
+class TestVerifyPrintsEveryLine:
+    """A failed prerequisite turns each dependent line into FAIL ... not run."""
+
+    def test_inconsistent_pruned_game(self, files, capsys, monkeypatch):
+        # an unpruned G3 keeps the losing edge s->l
+        monkeypatch.setattr(cli, "prune_superfluous", lambda g, vals: g)
+        code, out, _ = run(capsys, "verify", files["g3"])
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS value-equations",
+            "PASS determinacy",
+            "PASS prune-preserves-values",
+            "FAIL pruned-consistent: pruned game still has value-changing "
+            "controlled edges",
+            "FAIL one-step-martingale: a controlled edge changes the value",
+            *NOT_RUN_AFTER_MARTINGALE,
+        ]
+
+    def test_stale_values_on_pruned_game(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "prune_superfluous", lambda g, vals: biased_g2())
+        code, out, _ = run(capsys, "verify", files["g2"])
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS value-equations",
+            "PASS determinacy",
+            "FAIL prune-preserves-values: pruned game solves to different values",
+            "PASS pruned-consistent",
+            "FAIL one-step-martingale: value equation fails at 'r': stored 1/2, "
+            "successors give 1/4",
+            *NOT_RUN_AFTER_MARTINGALE,
+        ]
+
+    def test_stale_solver_values(self, files, capsys, monkeypatch):
+        sol = solve_game(fx.g2())
+        stale = dataclasses.replace(sol, values={**sol.values, "r": Fraction(1)})
+        monkeypatch.setattr(cli, "solve_game", lambda g, cap: stale)
+        code, out, _ = run(capsys, "verify", files["g2"])
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL value-equations: solver values break the local equations",
+            "PASS determinacy",
+            "FAIL prune-preserves-values: not run: value-equations failed",
+            "FAIL pruned-consistent: not run: value-equations failed",
+            "FAIL one-step-martingale: not run: value-equations failed",
+            *NOT_RUN_AFTER_MARTINGALE,
+        ]
+
+    @pytest.mark.parametrize("name", ["g1", "g3"])
+    def test_chains_only_for_candidates_with_reset_pairs(
+        self, files, capsys, monkeypatch, name
+    ):
+        repairs, chained = [], []
+        real_transform, real_chain = cli.reset_transform, cli.product_chain
+
+        def recording_transform(*args, **kwargs):
+            repairs.append(real_transform(*args, **kwargs))
+            return repairs[-1]
+
+        def counting_chain(g, sigma, tau, starts):
+            chained.append(sigma)
+            return real_chain(g, sigma, tau, starts)
+
+        monkeypatch.setattr(cli, "reset_transform", recording_transform)
+        monkeypatch.setattr(cli, "product_chain", counting_chain)
+        code, out, _ = run(capsys, "verify", files[name])
+        assert code == 0, out
+        # sigma_star never resets; a stubborn candidate on these games does
+        resetting = [rs.strategy for rs in repairs if rs.reset_pairs]
+        assert resetting and len(resetting) < len(repairs)
+        assert {id(s) for s in chained} == {id(s) for s in resetting}
 
 
 class TestQualityAndLowerValue:
