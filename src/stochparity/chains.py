@@ -9,12 +9,14 @@ priority inside the class. Win probabilities are therefore exact:
 classify each bottom SCC, then solve the absorption system exactly,
 with integer rows and fraction-free elimination (`linalg`).
 
-One kernel does both on the collapsed chain: `_collapse` maps every
-forced state (its only positive edge has probability 1) to the first
-branching state or forced cycle on its path, with the least priority on
-the way; recurrent classes are then found by Tarjan over the branching
-states only, and only branching states enter the linear system. Win
-probabilities, the one-player tables below and `_absorption` all use it.
+One kernel object, `_Chain`, does both on the collapsed chain: it splits
+a chain once into its forced map and branching rows, each solve lays its
+forced moves over that map, and `_collapse` maps every forced state (its
+only positive edge has probability 1) to the first branching state or
+forced cycle on its path, with the least priority on the way. Recurrent
+classes are found by Tarjan over the branching states only, which alone
+enter the linear system. Every exact solve goes through it: strategy
+pairs, product policies, chain win probabilities and `_absorption`.
 
 Fixing only one player's strategy leaves a finite MDP over (vertex,
 memory) pairs. Parity MDPs admit optimal policies that are memoryless
@@ -208,23 +210,6 @@ def classify_bscc(chain: ProductChain, component: Iterable[State]) -> Outcome:
     return Outcome.WIN if _max_wins(chain.label[s] for s in members) else Outcome.LOSE
 
 
-def _split(states, transitions):
-    """A chain's forced map and branching rows; zero-probability edges are non-edges.
-
-    A state whose only positive edge has probability 1 is forced to that
-    edge's end; every other state is branching and keeps its positive edges.
-    """
-    forced: dict = {}
-    rows: dict = {}
-    for s in states:
-        row = tuple((t, p) for t, p in transitions[s] if p != 0)
-        if len(row) == 1 and row[0][1] == 1:
-            forced[s] = row[0][0]
-        else:
-            rows[s] = row
-    return forced, rows
-
-
 def _collapse(forced, label):
     """Where every forced state's forced path ends, and its least priority.
 
@@ -319,22 +304,48 @@ def _branch_values(rows, end, low, label) -> dict:
     }
 
 
-def _state_values(states, end, low, branch) -> dict:
-    """Every state's value: that of the branching state or forced cycle it ends in."""
-    out: dict = {}
-    for s in states:
-        e = end.get(s, s)
-        if e in branch:
-            out[s] = branch[e]
-        else:
-            out[s] = _ONE if _max_wins((low[e],)) else _ZERO
-    return out
+class _Chain:
+    """A chain split once into its forced map and branching rows.
 
+    A state whose only positive edge has probability 1 is forced to its
+    end; every other state in `transitions` is branching and keeps its
+    positive edges. States without a row get their move from each solve.
+    """
 
-def _solve_collapsed(states, forced, rows, label) -> dict:
-    """Win probability of every state of a chain given as forced map and rows."""
-    end, low = _collapse(forced, label)
-    return _state_values(states, end, low, _branch_values(rows, end, low, label))
+    def __init__(self, states, transitions: dict, label: dict):
+        self.states, self.label = states, label
+        self.forced: dict = {}
+        self.rows: dict = {}
+        for s, row in transitions.items():
+            row = tuple((t, p) for t, p in row if p != 0)
+            if len(row) == 1 and row[0][1] == 1:
+                self.forced[s] = row[0][0]
+            else:
+                self.rows[s] = row
+        self.targets = [t for row in self.rows.values() for t, _ in row]
+        self.solved: dict[tuple, dict] = {}
+
+    def values(self, moves: Iterable[tuple]) -> dict:
+        """Win probability of every state, with the (state, successor) `moves` forced.
+
+        Move sets whose collapsed systems agree (the same end and least
+        priority on every branching row's edge) share one solve.
+        """
+        forced = dict(self.forced)
+        forced.update(moves)
+        end, low = _collapse(forced, self.label)
+        key = tuple((end.get(t, t), low.get(t)) for t in self.targets)
+        branch = self.solved.get(key)
+        if branch is None:
+            branch = self.solved[key] = _branch_values(self.rows, end, low, self.label)
+        out: dict = {}
+        for s in self.states:
+            e = end.get(s, s)
+            if e in branch:
+                out[s] = branch[e]
+            else:
+                out[s] = _ONE if _max_wins((low[e],)) else _ZERO
+        return out
 
 
 def _absorption(
@@ -350,7 +361,7 @@ def _absorption(
     Only the branching states that can reach it are unknowns.
     """
     label = {s: 0 if s in target else 1 for s in states}
-    return _solve_collapsed(states, *_split(states, transitions), label)
+    return _Chain(states, transitions, label).values(())
 
 
 def absorption_probabilities(
@@ -380,8 +391,7 @@ def chain_win_probability(
 ) -> dict[str, Fraction]:
     """Exact Max win probability from each start vertex under (sigma, tau)."""
     chain = product_chain(g, sigma, tau, start_vertices)
-    forced, rows = _split(chain.states, chain.transitions)
-    values = _solve_collapsed(chain.states, forced, rows, chain.label)
+    values = _Chain(chain.states, chain.transitions, chain.label).values(())
     return {v: values[s] for v, s in chain.start.items()}
 
 
@@ -439,15 +449,12 @@ class _ProductMdp:
                 if w not in g.by_id:
                     raise StrategyError(f"strategy moves to unknown vertex {w!r}")
                 base[(v, m)] = (((w, m2), _ONE),)
-        self.forced, self.rows = _split(list(base), base)
+        self.chain = _Chain(self.states, base, self.label)
         self.after = [fixed.step(m, v) for v, m in self.choice_states]
         self.pools = [g.successors[v] for v, _ in self.choice_states]
 
     def values_of(self, choice: tuple[str, ...]) -> dict:
-        forced = dict(self.forced)
-        for (v, m), w, m2 in zip(self.choice_states, choice, self.after):
-            forced[(v, m)] = (w, m2)
-        return _solve_collapsed(self.states, forced, self.rows, self.label)
+        return self.chain.values(zip(self.choice_states, zip(choice, self.after)))
 
     def optimum(self, cap: int) -> tuple[dict, tuple[str, ...] | None]:
         """Best values over every policy, and the first policy attaining them."""

@@ -126,13 +126,15 @@ def cmd_check(args) -> int:
     # the flag and m read the game's own vertices alone, so a value for an
     # unknown vertex counts against value-equations only
     own = {v: sol.values[v] for v in g.vertex_ids if v in sol.values}
-    consistent = is_consistent(g, own) if len(own) == len(g.vertex_ids) else None
-    detail = f"file says {sol.consistent}, values give {consistent}"
-    if consistent is None:
-        detail = "cannot be checked: a vertex has no value"
-    _report("consistent-flag", consistent == sol.consistent, detail, failures)
-    m = min_positive_value(own)
-    _report("m-field", sol.m == m, f"file says {sol.m}, values give {m}", failures)
+    if len(own) == len(g.vertex_ids):
+        consistent, m = is_consistent(g, own), min_positive_value(own)
+        flag_detail = f"file says {sol.consistent}, values give {consistent}"
+        m_detail = f"file says {sol.m}, values give {m}"
+    else:
+        consistent = m = None
+        flag_detail = m_detail = "cannot be checked: a vertex has no value"
+    _report("consistent-flag", consistent == sol.consistent, flag_detail, failures)
+    _report("m-field", sol.m == m, m_detail, failures)
 
     bad = validate_strategy(g, sol.sigma_star) + validate_strategy(g, sol.tau_star)
     _report("witness-strategies", not bad, "; ".join(bad), failures)
@@ -249,7 +251,7 @@ def cmd_verify(args) -> int:
         return 1 if failures else 0
 
     candidates = _verify_candidates(g, pruned, sol, args.cap)
-    taus = list(itertools.islice(enumerate_memoryless(pruned, Owner.MIN), 2**12))
+    taus = list(enumerate_memoryless(pruned, Owner.MIN))
 
     detail = ""
     bounds = [(sigma, q, deviation_bound(gap, sol.m)) for sigma, q, gap in candidates]
@@ -508,7 +510,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         func, help_, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        p.add_argument("--cap", type=int, default=2**20, help="enumeration cap")
+        p.add_argument("--cap", **_POSITIVE, default=2**20, help="enumeration cap")
         for arg, kw in arguments.items():
             p.add_argument(arg, **kw)
     return top

@@ -6,9 +6,9 @@ minima) and upper (min of column maxima) envelopes are compared. Both
 players have memoryless optimal strategies in these games, so the two
 envelopes must coincide; any mismatch is reported as an implementation
 bug rather than silently resolved. A memoryless pair's chain is the game
-graph with every controlled vertex forced, so each pair is solved on the
-collapsed vertex graph (`chains._collapse`), and pairs that collapse to
-the same system share one solve within a call.
+graph with every controlled vertex forced, so every pair is solved by one
+kernel object over the vertex graph (`chains._Chain`), and pairs that
+collapse to the same system share one solve within a call.
 
 The resulting value map satisfies the local equations (max over
 successors at Max vertices, min at Min vertices, the weighted average
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chains import _branch_values, _collapse, _optimum, _split, _state_values
+from .chains import _Chain, _optimum
 from .errors import (
     CapExceededError,
     DeterminacyError,
@@ -171,25 +171,15 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     sigmas, taus = list(sigmas), list(taus)
     vertices = g.vertex_ids
     label = {v: g.priority(v) for v in vertices}
-    fixed, rows = _split(g.owned_by(Owner.RANDOM), g.distribution)
-    targets = [t for row in rows.values() for t, _ in row]
-    solved: dict[tuple, dict] = {}
+    chain = _Chain(vertices, g.distribution, label)
 
     row_min: list[ValueMap] = []
     col_max: list[ValueMap] = [dict() for _ in taus]
     for sigma in sigmas:
-        moves = dict(fixed)
-        moves.update(zip(max_owned, sigma))
+        moves = list(zip(max_owned, sigma))
         mins: ValueMap | None = None
         for j, tau in enumerate(taus):
-            forced = dict(moves)
-            forced.update(zip(min_owned, tau))
-            end, low = _collapse(forced, label)
-            key = tuple((end.get(t, t), low.get(t)) for t in targets)
-            branch = solved.get(key)
-            if branch is None:
-                branch = solved[key] = _branch_values(rows, end, low, label)
-            p = _state_values(vertices, end, low, branch)
+            p = chain.values(moves + list(zip(min_owned, tau)))
             cm = col_max[j]
             if mins is None:
                 mins = dict(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -604,8 +605,7 @@ def reference_chain_values(states, transitions, label):
 
 
 def kernel_chain_values(states, transitions, label):
-    forced, rows = chains._split(states, transitions)
-    return chains._solve_collapsed(states, forced, rows, label)
+    return chains._Chain(states, transitions, label).values(())
 
 
 class TestCollapsedKernel:
@@ -813,3 +813,55 @@ class TestSolveGameOnVertexGraph:
         sol = solve_game(g)
         assert sol.values == {"r": H, "p": 1, "a": 1, "b": 1, "c": 1, "l": 0}
         assert sol.sigma_star.move("m0", "b") == "c"
+
+
+def unshared_table(g, fixed, free):
+    """mdp_table by plain enumeration, each policy on a fresh kernel object."""
+    pools = chains._ProductMdp(g, fixed, free).pools
+    tables = [
+        chains._ProductMdp(g, fixed, free).values_of(choice)
+        for choice in itertools.product(*pools)
+    ]
+    pick = max if free is Owner.MAX else min
+    return {s: pick(t[s] for t in tables) for s in tables[0]}
+
+
+class TestPoliciesShareSolves:
+    """The policies of one table share a solve when they collapse alike."""
+
+    def test_repeated_systems_solved_once(self, monkeypatch):
+        # Min's choice at y never lies on a forced path out of r, so both
+        # Min policies give r the same system under either Max machine
+        g = repeated_systems_game()
+        sizes = solve_sizes(monkeypatch)
+        for x_move, r_value in (("r", 1), ("l", H)):
+            sigma = memoryless(g, Owner.MAX, {"x": x_move, "w": "w", "l": "l"})
+            sizes.clear()
+            table = mdp_table(g, sigma, Owner.MIN)
+            pools = chains._ProductMdp(g, sigma, Owner.MIN).pools
+            assert table[("r", "m0")] == r_value
+            assert (math.prod(map(len, pools)), sizes) == (2, [1])
+
+    def test_tables_match_unshared_enumeration(self, monkeypatch):
+        sizes = solve_sizes(monkeypatch)
+        checked = shared = unshared = 0
+        for seed in range(1, 40):
+            g = random_game(seed, 6 + seed % 3, 3, 3, Fraction(1, 3))
+            max_owned = g.owned_by(Owner.MAX)
+            if not max_owned:
+                continue
+            moves = {v: g.successors[v][0] for v in max_owned}
+            for k in (2, 3):
+                fixed = stubborn_strategy(g, moves, moves, max_owned[0], k)
+                pools = chains._ProductMdp(g, fixed, Owner.MIN).pools
+                if not 50 <= math.prod(map(len, pools)) <= 3000:
+                    continue
+                sizes.clear()
+                table = mdp_table(g, fixed, Owner.MIN)
+                shared += len(sizes)
+                sizes.clear()
+                assert table == unshared_table(g, fixed, Owner.MIN)
+                unshared += len(sizes)
+                checked += 1
+        assert checked >= 20
+        assert 0 < shared < unshared / 2

@@ -218,6 +218,22 @@ class TestCheckReadsOwnVertices:
         assert "FAIL consistent-flag: cannot be checked: a vertex has no value" in lines
         assert not any("values give None" in line for line in lines)
 
+    def test_missing_vertex_leaves_m_unchecked(self, files, capsys, tmp_path):
+        # G2's file without r keeps its right m, 1/2; w and l alone give 1
+        sol_path = tmp_path / "sol.json"
+        run(capsys, "solve", files["g2"], "--out", str(sol_path))
+        data = json.loads(sol_path.read_text())
+        del data["values"]["r"]
+        sol_path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "check", files["g2"], str(sol_path))
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL value-equations: no value for vertex 'r'",
+            "FAIL consistent-flag: cannot be checked: a vertex has no value",
+            "FAIL m-field: cannot be checked: a vertex has no value",
+            "PASS witness-strategies",
+        ]
+
 
 class TestPrune:
     def test_stdout(self, files, capsys):
@@ -279,6 +295,25 @@ class TestVerify:
             assert code == 0, (seed, out)
             assert "FAIL" not in out
 
+    def test_deviation_bound_checks_every_min_strategy(self, files, capsys, monkeypatch):
+        # 2^12 + 1 Min strategies on G2, where only the last is pushed past
+        # sigma_star's bound (1 + 0) / (1 + 1/4) = 4/5
+        tau = fx.trivial_min(fx.g2())
+        last = dataclasses.replace(tau)
+        monkeypatch.setattr(
+            cli, "enumerate_memoryless", lambda g, player: [tau] * 2**12 + [last]
+        )
+
+        def stub(g, sigma, tau, *args, **kwargs):
+            return {v: Fraction(tau is last) for v in g.vertex_ids}
+
+        monkeypatch.setattr(cli, "deviation_probabilities", stub)
+        code, out, _ = run(capsys, "verify", files["g2"])
+        assert code == 1
+        assert "FAIL deviation-bound: from l: deviation probability 1 exceeds 4/5" in (
+            out.splitlines()
+        )
+
 
 def martingale_by_enumeration(game, vals):
     """One-step martingale under every memoryless pair, one product chain each."""
@@ -322,7 +357,7 @@ class TestMartingaleFromValueEquations:
         # an unpruned G3 keeps the losing edge s->l
         monkeypatch.setattr(cli, "prune_superfluous", lambda g, vals: g)
         code, out, _ = run(capsys, "verify", files["g3"])
-        assert code != 0  # later checks stop on the inconsistent game
+        assert code == 1
         lines = out.splitlines()
         assert (
             "FAIL pruned-consistent: pruned game still has value-changing "
@@ -331,20 +366,9 @@ class TestMartingaleFromValueEquations:
         assert "FAIL one-step-martingale: a controlled edge changes the value" in lines
 
     def test_random_row_fails_with_its_violation(self, files, capsys, monkeypatch):
-        # G2 with its coin reweighted to 1/4 no longer averages r's value 1/2
-        biased = GameGraph(
-            "G2",
-            fx.g2().vertices,
-            (
-                Edge("r", "w", Fraction(1, 4)),
-                Edge("r", "l", Fraction(3, 4)),
-                Edge("w", "w"),
-                Edge("l", "l"),
-            ),
-        )
-        monkeypatch.setattr(cli, "prune_superfluous", lambda g, vals: biased)
+        monkeypatch.setattr(cli, "prune_superfluous", lambda g, vals: biased_g2())
         code, out, _ = run(capsys, "verify", files["g2"])
-        assert code != 0  # later checks stop on the stale values
+        assert code == 1
         assert (
             "FAIL one-step-martingale: value equation fails at 'r': stored 1/2, "
             "successors give 1/4"
@@ -1005,6 +1029,8 @@ class TestOutOfRangeFlags:
             ("--vertices", "0"),
             ("--max-out-degree", "0"),
             ("--max-priority", "-1"),
+            ("--cap", "0"),
+            ("--cap", "-5"),
             ("--random-fraction", "2/1"),
         ],
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from stochparity import Owner, product_chain, stubborn_strategy
 from stochparity import chains
 from stochparity.linalg import solve_linear
 from test_acceptance import corpus_games
-from test_chains import iter_memoryless
+from test_chains import iter_memoryless, kernel_chain_values
 
 
 def reference_solve_linear(matrix, rhs):
@@ -171,12 +172,18 @@ class TestAgainstFractionElimination:
             solve_linear(matrix, rhs)
 
 
+def policy_values(g, fixed, choice):
+    """One Min policy's values against `fixed`, on a fresh kernel object."""
+    return chains._ProductMdp(g, fixed, Owner.MIN).values_of(choice)
+
+
 def kernel_inputs():
-    """(states, forced, rows, label) of the chains chain-kernel tests solve.
+    """One call per chain the chain-kernel tests solve, each on a fresh kernel.
 
     The games of acceptance criterion 2 under memoryless and counting
     strategy pairs, and the one-player process of the counting machine
-    under its first three policies, as in test_chains.
+    under its first three policies, as in test_chains. A fresh kernel
+    object per call shares no solve between calls.
     """
     for g in corpus_games():
         sigmas = list(itertools.islice(iter_memoryless(g, Owner.MAX), 2))
@@ -186,21 +193,19 @@ def kernel_inputs():
         sigmas.append(stubborn_strategy(g, moves, moves, pivot, 3))
         for sigma, tau in itertools.product(sigmas, taus):
             chain = product_chain(g, sigma, tau, g.vertex_ids)
-            forced, rows = chains._split(chain.states, chain.transitions)
-            yield chain.states, forced, rows, chain.label
+            yield functools.partial(
+                kernel_chain_values, chain.states, chain.transitions, chain.label
+            )
         fixed = sigmas[-1]
-        mdp = chains._ProductMdp(g, fixed, Owner.MIN)
-        for choice in itertools.islice(itertools.product(*mdp.pools), 3):
-            forced = dict(mdp.forced)
-            for state, w, m2 in zip(mdp.choice_states, choice, mdp.after):
-                forced[state] = (w, m2)
-            yield mdp.states, forced, mdp.rows, mdp.label
+        pools = chains._ProductMdp(g, fixed, Owner.MIN).pools
+        for choice in itertools.islice(itertools.product(*pools), 3):
+            yield functools.partial(policy_values, g, fixed, choice)
 
 
 class TestInsideTheKernel:
     def test_same_values_with_the_reference_solver(self, monkeypatch):
         cases = list(kernel_inputs())
-        got = [chains._solve_collapsed(*case) for case in cases]
+        got = [solve() for solve in cases]
         calls = []
 
         def recording(matrix, rhs):
@@ -208,5 +213,5 @@ class TestInsideTheKernel:
             return reference(matrix, rhs)
 
         monkeypatch.setattr(chains, "solve_linear", recording)
-        assert [chains._solve_collapsed(*case) for case in cases] == got
+        assert [solve() for solve in cases] == got
         assert len(cases) > 1000 and len(calls) > 150 and max(calls) >= 9
