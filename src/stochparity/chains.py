@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -135,6 +136,10 @@ def _bottom_sccs(nodes, succ) -> list[frozenset]:
     return out
 
 
+# (vertex, Max memory) pairs where `product_chain` stops; set in copied contexts
+_STOP: ContextVar[frozenset] = ContextVar("stop", default=frozenset())
+
+
 def product_chain(
     g: GameGraph,
     sigma: MealyStrategy,
@@ -147,7 +152,10 @@ def product_chain(
     strategy's action as given; the construction only requires action
     targets to be vertices of the game, so machines whose actions
     reference edges absent from `g` (for instance edges removed by
-    pruning) still induce a well-defined chain.
+    pruning) still induce a well-defined chain. Each state the starts
+    reach is expanded once, in breadth-first order, by `_successors`,
+    except that a state on a (vertex, Max memory) pair in `_STOP` gets a
+    self-loop when first reached, so no move or update past it is read.
     """
     if sigma.player is not Owner.MAX:
         raise StrategyError("sigma must be a Max strategy")
@@ -158,43 +166,38 @@ def product_chain(
         if v not in g.by_id:
             raise IllegalPlayError(f"start vertex {v!r} is not in the game")
 
-    def expand(s: State) -> tuple[tuple[State, Fraction], ...]:
-        v, mx, mn = s
-        mx2, mn2 = sigma.step(mx, v), tau.step(mn, v)
-        owner = g.owner(v)
-        if owner is Owner.RANDOM:
-            rows = [(w, p) for w, p in g.distribution[v]]
-        elif owner is Owner.MAX:
-            rows = [(sigma.move(mx, v), Fraction(1))]
-        else:
-            rows = [(tau.move(mn, v), Fraction(1))]
-        for w, _ in rows:
-            if w not in g.by_id:
-                raise StrategyError(f"strategy moves to unknown vertex {w!r}")
-        return tuple(((w, mx2, mn2), p) for w, p in rows)
-
     start = {v: (v, sigma.initial, tau.initial) for v in starts}
-    states, transitions = _breadth_first(start.values(), expand)
-    label = {s: g.priority(s[0]) for s in states}
-    return ProductChain(states, transitions, label, start)
-
-
-def _breadth_first(starts: Iterable[State], expand: Callable) -> tuple:
-    """The states reachable from `starts` in breadth-first order, and their rows."""
-    # `states` doubles as the queue, read up to index i
-    states: list[State] = list(starts)
+    stop = _STOP.get()
+    # `states` grows while it is read, so it doubles as the breadth-first queue
+    states: list[State] = list(start.values())
     transitions: dict[State, tuple[tuple[State, Fraction], ...]] = {}
     seen = set(states)
-    i = 0
-    while i < len(states):
-        s = states[i]
-        i += 1
-        transitions[s] = expand(s)
-        for t, _ in transitions[s]:
+    for s in states:
+        v, mx, mn = s
+        if (v, mx) in stop:
+            row = ((s, _ONE),)
+        else:
+            mx2, mn2 = sigma.step(mx, v), tau.step(mn, v)
+            mover, mem = (tau, mn) if g.owner(v) is Owner.MIN else (sigma, mx)
+            row = tuple(((w, mx2, mn2), p) for w, p in _successors(g, v, mover, mem))
+        transitions[s] = row
+        for t, _ in row:
             if t not in seen:
                 seen.add(t)
                 states.append(t)
-    return tuple(states), transitions
+    label = {s: g.priority(s[0]) for s in states}
+    return ProductChain(tuple(states), transitions, label, start)
+
+
+def _successors(g: GameGraph, v: str, mover: MealyStrategy, mem: str) -> tuple:
+    """The (vertex, probability) successors of every product state at `v`:
+    a Random vertex's distribution, else `mover`'s move at `mem`, checked."""
+    if g.owner(v) is Owner.RANDOM:
+        return g.distribution[v]
+    w = mover.move(mem, v)
+    if w not in g.by_id:
+        raise StrategyError(f"strategy moves to unknown vertex {w!r}")
+    return ((w, _ONE),)
 
 
 def bsccs(chain: ProductChain) -> list[frozenset[State]]:
@@ -438,17 +441,11 @@ class _ProductMdp:
         base: dict[tuple[str, str], tuple] = {}
         self.choice_states: list[tuple[str, str]] = []
         for v, m in self.states:
-            owner = g.owner(v)
             m2 = fixed.step(m, v)
-            if owner is free_player:
+            if g.owner(v) is free_player:
                 self.choice_states.append((v, m))
-            elif owner is Owner.RANDOM:
-                base[(v, m)] = tuple(((w, m2), p) for w, p in g.distribution[v])
             else:
-                w = fixed.move(m, v)
-                if w not in g.by_id:
-                    raise StrategyError(f"strategy moves to unknown vertex {w!r}")
-                base[(v, m)] = (((w, m2), _ONE),)
+                base[v, m] = tuple(((w, m2), p) for w, p in _successors(g, v, fixed, m))
         self.chain = _Chain(self.states, base, self.label)
         self.after = [fixed.step(m, v) for v, m in self.choice_states]
         self.pools = [g.successors[v] for v, _ in self.choice_states]

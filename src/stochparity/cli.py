@@ -136,7 +136,10 @@ def cmd_check(args) -> int:
     _report("consistent-flag", consistent == sol.consistent, flag_detail, failures)
     _report("m-field", sol.m == m, m_detail, failures)
 
-    bad = validate_strategy(g, sol.sigma_star) + validate_strategy(g, sol.tau_star)
+    bad = [f"{k} is a {getattr(sol, k).player.value} strategy, not {p.value}"
+           for k, p in (("sigma_star", Owner.MAX), ("tau_star", Owner.MIN))
+           if getattr(sol, k).player is not p]
+    bad += validate_strategy(g, sol.sigma_star) + validate_strategy(g, sol.tau_star)
     _report("witness-strategies", not bad, "; ".join(bad), failures)
     return 1 if failures else 0
 
@@ -180,7 +183,8 @@ def _verify_candidates(
         q = quality_table(pruned, sigma, cap)
         return sigma, q, optimality_gap(pruned, sigma, sol.values, quality=q)
 
-    moves = {v: sol.sigma_star.move("m0", v) for v in g.owned_by(Owner.MAX)}
+    star = sol.sigma_star
+    moves = {v: star.move(star.initial, v) for v in g.owned_by(Owner.MAX)}
     stubborn = (
         stubborn_strategy(g, moves, {**moves, pivot: alt}, pivot, k)
         for pivot in g.owned_by(Owner.MAX)
@@ -345,13 +349,8 @@ def cmd_reset(args) -> int:
             f"{v}={_fmt(before[v], args.decimal)} -> {_fmt(after[v], args.decimal)}"
             f" value={_fmt(sol.values[v], args.decimal)}"
         )
-    if rs.reset_pairs:
-        print(
-            "reset-pairs="
-            + " ".join(f"{v},{mem}" for v, mem in sorted(rs.reset_pairs))
-        )
-    else:
-        print("reset-pairs=none")
+    pairs = " ".join(f"{v},{mem}" for v, mem in sorted(rs.reset_pairs))
+    print(f"reset-pairs={pairs or 'none'}")
     if args.out:
         Path(args.out).write_text(serialize_strategy(rs.strategy))
     return 0

@@ -241,9 +241,13 @@ def _decode(text: Union[bytes, str], what: str) -> dict:
 
 
 def _check_unambiguous(name: str, what: str) -> None:
-    """Reject ',' and '=', which would make output lines like `v,mem=q` ambiguous."""
+    """Reject ',', '=', whitespace and unprintable characters: output lines such
+    as `v,mem=q` split on ',' and '=', and `reset-pairs=` on spaces."""
     if "," in name or "=" in name:
         raise GameFormatError(f"{what} {name!r} must not contain ',' or '='")
+    if " " in name or not name.isprintable():
+        bad = "whitespace or unprintable characters"
+        raise GameFormatError(f"{what} {name!r} must not contain {bad}")
 
 
 def parse_game(text: Union[bytes, str]) -> GameGraph:

@@ -24,12 +24,13 @@ so the repaired strategy is optimal.
 from __future__ import annotations
 
 import math
+from contextvars import copy_context
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .chains import (
-    ProductChain, State, _absorption, _breadth_first, mdp_table, product_chain
+    _STOP, ProductChain, State, _absorption, mdp_table, product_chain
 )
 from .errors import (
     InconsistentGameError,
@@ -226,20 +227,18 @@ def _deviation_chain(
     dev: frozenset[tuple[str, str]],
     starts: Iterable[str],
 ) -> tuple[ProductChain, frozenset[State]]:
-    """The chain from `starts` with every state on a deviated pair made absorbing.
+    """The chain from `starts`, walked once and stopped at the deviated pairs.
 
     Returns the chain, whose deviated states loop to themselves with
-    probability 1, and the set of those states; only the states the starts
-    reach over these transitions are kept.
+    probability 1, and the set of those states. The walk gives a deviated
+    state its self-loop when it first reaches it and never expands it, so
+    the chain keeps only the states plays reach up to their first deviation.
     """
-    chain = product_chain(g, sigma, tau, starts)
-    states, trans = _breadth_first(
-        chain.start.values(),
-        lambda s: ((s, Fraction(1)),) if s[:2] in dev else chain.transitions[s],
-    )
-    label = {s: chain.label[s] for s in states}
-    absorbing = frozenset(s for s in states if s[:2] in dev)
-    return ProductChain(states, trans, label, chain.start), absorbing
+    # the walk runs in a copy of the context, so the stop set ends with it
+    context = copy_context()
+    context.run(_STOP.set, dev)
+    chain = context.run(product_chain, g, sigma, tau, starts)
+    return chain, frozenset(s for s in chain.states if s[:2] in dev)
 
 
 @dataclass

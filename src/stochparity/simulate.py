@@ -94,10 +94,13 @@ class _Sampler:
     A stop is a state in a closed recurrent class (absorbed) or one with
     more than one successor (branching). Every move lands on the first
     stop of the forced run it enters, as (stop, distance in steps,
-    vertices passed); the vertices are kept only when `trace` is set.
+    vertices passed). The chain holds only what `start_vertex` reaches
+    and no play leaves a closed class, so some play reaches every
+    branching state and its row is compiled without a walk.
     """
 
-    def __init__(self, chain: ProductChain, start_vertex: str, trace: bool = False):
+    def __init__(self, chain: ProductChain, start_vertex: str):
+        assert chain.start.keys() == {start_vertex}, "chain built from other starts"
         index = {s: i for i, s in enumerate(chain.states)}
         self.absorbed: dict[int, tuple[Outcome, frozenset]] = {}
         for c in chain.bsccs():
@@ -119,19 +122,16 @@ class _Sampler:
             while i in forced:
                 i = forced[i]
                 run.append(i)
-            passed = tuple(chain.states[j][0] for j in run[1 - moved:]) if trace else ()
+            passed = tuple(chain.states[j][0] for j in run[1 - moved:])
             return i, len(run) - 1 + moved, passed
 
         self.first = land(index[chain.start[start_vertex]], 0)
-        # the rows of the branching stops a play can reach, as (common
-        # denominator, cumulative numerators, landings)
+        # the row of every branching state, as (common denominator,
+        # cumulative numerators, landings)
         self.rows: dict[int, tuple[int, list[int], list]] = {}
-        todo = [self.first[0]]
-        while todo:
-            i = todo.pop()
-            if i in self.absorbed or i in self.rows:
+        for i, s in enumerate(chain.states):
+            if i in self.absorbed or i in forced:
                 continue
-            s = chain.states[i]
             row = chain.transitions[s]
             den = math.lcm(*(p.denominator for _, p in row))
             if den > _MAX_DEN:
@@ -141,9 +141,7 @@ class _Sampler:
                 )
             cums = list(accumulate(p.numerator * (den // p.denominator) for _, p in row))
             assert cums[-1] == den
-            landings = [land(index[t], 1) for t, _ in row]
-            self.rows[i] = (den, cums, landings)
-            todo.extend(stop for stop, _, _ in landings)
+            self.rows[i] = (den, cums, [land(index[t], 1) for t, _ in row])
 
     def plays(
         self, gen: np.random.Generator, n: int, horizon: int, trace: list | None = None
@@ -223,7 +221,7 @@ def sample_play(
 ) -> PlayRecord:
     """One exact play under (sigma, tau), reproducible from the seed."""
     _check_run(1, horizon)
-    sampler = _Sampler(product_chain(g, sigma, tau, [start]), start, trace=True)
+    sampler = _Sampler(product_chain(g, sigma, tau, [start]), start)
     trace = [start]
     stop, _ = next(sampler.plays(stream(seed, 0), 1, horizon, trace))
     outcome, c = (Outcome.TRUNCATED, None) if stop is None else sampler.absorbed[stop]

@@ -25,6 +25,7 @@ from stochparity import (
     mdp_value,
     memoryless,
     product_chain,
+    quality_table,
     random_game,
     solve_game,
     stubborn_strategy,
@@ -865,3 +866,49 @@ class TestPoliciesShareSolves:
                 checked += 1
         assert checked >= 20
         assert 0 < shared < unshared / 2
+
+
+class TestOneSuccessorRule:
+    """Every product row, of a chain or of a one-player table, comes from
+    `chains._successors`, and so does its check of the move's target."""
+
+    @staticmethod
+    def record(monkeypatch):
+        seen = []
+        real = chains._successors
+
+        def recording(g, v, mover, mem):
+            seen.append(v)
+            return real(g, v, mover, mem)
+
+        monkeypatch.setattr(chains, "_successors", recording)
+        return seen
+
+    def test_chains_and_tables(self, monkeypatch):
+        checked = 0
+        seen = self.record(monkeypatch)
+        for seed in range(12):
+            g = random_game(seed, 6, 3, 3, Fraction(1, 3))
+            sol = solve_game(g)
+            seen.clear()
+            chain = product_chain(g, sol.sigma_star, sol.tau_star, g.vertex_ids)
+            assert seen == [v for v, _, _ in chain.states]
+            for fixed, free in ((sol.sigma_star, Owner.MIN), (sol.tau_star, Owner.MAX)):
+                seen.clear()
+                mdp = chains._ProductMdp(g, fixed, free)
+                assert seen == [v for v, m in mdp.states if g.owner(v) is not free]
+                checked += bool(mdp.choice_states and seen)
+        assert checked > 5
+
+    @staticmethod
+    def off_the_game(g3):
+        # Max moves from s to a vertex the game does not have
+        return memoryless(g3, Owner.MAX, {"s": "zz", "w": "w", "l": "l"})
+
+    def test_unknown_vertex_in_product_chain(self, g3):
+        with pytest.raises(StrategyError, match="strategy moves to unknown vertex 'zz'"):
+            product_chain(g3, self.off_the_game(g3), fx.trivial_min(g3), ["s"])
+
+    def test_unknown_vertex_in_quality_table(self, g3):
+        with pytest.raises(StrategyError, match="strategy moves to unknown vertex 'zz'"):
+            quality_table(g3, self.off_the_game(g3))

@@ -172,6 +172,24 @@ class TestCheck:
         assert "FAIL value-equations: value for unknown vertex 'zz'" in out.splitlines()
 
 
+    def test_swapped_witnesses(self, files, capsys, tmp_path):
+        # G1's witnesses, each filed under the other player's name
+        sol_path = tmp_path / "sol.json"
+        run(capsys, "solve", files["g1"], "--out", str(sol_path))
+        data = json.loads(sol_path.read_text())
+        data["sigma_star"], data["tau_star"] = data["tau_star"], data["sigma_star"]
+        sol_path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "check", files["g1"], str(sol_path))
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS value-equations",
+            "PASS consistent-flag",
+            "PASS m-field",
+            "FAIL witness-strategies: sigma_star is a min strategy, not max; "
+            "tau_star is a max strategy, not min",
+        ]
+
+
 G1_VALUES = {"a": "1/1", "l": "0/1", "w": "1/1"}
 
 
@@ -805,6 +823,35 @@ class TestAmbiguousIds:
             code, out, err = run(capsys, command, files["g3"], str(sigma))
             assert (code, out) == (2, "")
             assert f"memory state {name!r} must not contain ',' or '='" in err
+
+
+class TestIdsThatBreakLines:
+    """Whitespace splits a `v=...` line or the space-separated `reset-pairs=`
+    line, and other unprintable characters hide in it."""
+
+    NAMES = ["a\nb", "a b", "a\tb", "a\u00a0b", "a\x07b", "a\x00b"]
+
+    @pytest.mark.parametrize("vid", NAMES)
+    def test_vertex_id(self, capsys, tmp_path, vid):
+        game = tmp_path / "game.json"
+        game.write_text(ALL_ZERO_GAME.replace('"x"', json.dumps(vid)))
+        code, out, err = run(capsys, "solve", str(game))
+        assert (code, out) == (2, "")
+        assert f"id {vid!r} must not contain whitespace or unprintable characters" in err
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_memory_state(self, files, capsys, tmp_path, name):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(
+            serialize_strategy(fx.sigma3()).replace('"m1"', json.dumps(name))
+        )
+        for command in ("quality", "reset"):
+            code, out, err = run(capsys, command, files["g3"], str(sigma))
+            assert (code, out) == (2, "")
+            assert (
+                f"memory state {name!r} must not contain whitespace or "
+                "unprintable characters"
+            ) in err
 
 
 class TestOneDeviationChainPerTau:

@@ -18,3 +18,10 @@ def test_every_reexported_name_is_in_all():
     }
     assert imported - set(stochparity.__all__) == set()
     assert set(stochparity.__all__) <= set(vars(stochparity))
+
+
+def test_readme_quick_start_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(readme), "exec"), {})

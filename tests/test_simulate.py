@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from stochparity import (
     Edge,
     EstimateResult,
     GameGraph,
+    MealyStrategy,
     Outcome,
     Owner,
     PlayRecord,
@@ -35,7 +37,7 @@ from stochparity import (
 )
 from stochparity import fixtures as fx
 from stochparity import simulate
-from stochparity.chains import _absorption
+from stochparity.chains import ProductChain, _absorption
 from stochparity.resets import _deviation_chain
 from stochparity.simulate import _chunks, _stderr
 
@@ -843,3 +845,95 @@ class TestDeviationChainReachableOnly:
             pruned += len(chain.states) < len(full.states)
             checked += 1
         assert checked > 30 and pruned > 0
+
+
+def deviation_chain_from_full_chain(g, sigma, tau, dev, starts):
+    """The deviation chain as the full chain, walked again with deviated states looping."""
+    full = product_chain(g, sigma, tau, starts)
+    states, trans, seen = list(full.start.values()), {}, set(full.start.values())
+    for s in states:
+        trans[s] = ((s, Fraction(1)),) if s[:2] in dev else full.transitions[s]
+        for t, _ in trans[s]:
+            if t not in seen:
+                seen.add(t)
+                states.append(t)
+    label = {s: full.label[s] for s in states}
+    absorbing = frozenset(s for s in states if s[:2] in dev)
+    return ProductChain(tuple(states), trans, label, full.start), absorbing
+
+
+class Recording(dict):
+    """A strategy table that records every key it is asked for."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+class TestDeviationChainIsOneWalk:
+    def test_reads_nothing_past_a_deviated_pair(self, corpus):
+        stopped = 0
+        for g, sigma, tau, sol in corpus:
+            if sol.m == math.inf:
+                continue
+            dev = deviation_states(g, sigma, sol.values, sol.m)
+            reads = []
+            watched = MealyStrategy(
+                sigma.player,
+                sigma.memory_states,
+                sigma.initial,
+                Recording(sigma.update, reads),
+                Recording(sigma.action, reads),
+            )
+            for starts in [[v] for v in g.vertex_ids] + [g.vertex_ids]:
+                reads.clear()
+                got = _deviation_chain(g, watched, tau, dev, starts)
+                assert got == deviation_chain_from_full_chain(g, sigma, tau, dev, starts)
+                assert not {(v, mem) for mem, v in reads} & dev
+                stopped += bool(got[1])
+        assert stopped > 0
+
+    def test_sigma3_without_rows_at_deviated_pairs(self, g3, sigma3, sol3):
+        dev = deviation_states(g3, sigma3, sol3.values, sol3.m)
+        assert ("s", "m2") in dev
+        # the walk stops at (s, m2), so no row at a deviated pair is needed
+        update = {(m, v): x for (m, v), x in sigma3.update.items() if (v, m) not in dev}
+        action = {(m, v): w for (m, v), w in sigma3.action.items() if (v, m) not in dev}
+        partial = MealyStrategy(Owner.MAX, sigma3.memory_states, "m0", update, action)
+        tau = fx.trivial_min(g3)
+        assert _deviation_chain(g3, partial, tau, dev, ["s"]) == _deviation_chain(
+            g3, sigma3, tau, dev, ["s"]
+        )
+
+
+class TestSamplerWithoutAWalk:
+    def test_no_trace_switch(self):
+        assert list(inspect.signature(simulate._Sampler).parameters) == [
+            "chain",
+            "start_vertex",
+        ]
+
+    def test_rows_in_chain_order(self):
+        # a walk from s would compile the second coin before the first
+        g = two_coins_game()
+        chain = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
+        sampler = simulate._Sampler(chain, "s")
+        assert list(sampler.rows) == [0, 1, 2]
+        assert [chain.states[i][0] for i in sampler.rows] == ["s", "a", "b"]
+
+    def test_every_landing_keeps_its_vertices(self):
+        g = forced_run_game(coin=True)
+        chain = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
+        sampler = simulate._Sampler(chain, "s")
+        landings = [ld for _, _, ls in sampler.rows.values() for ld in ls]
+        assert all(len(passed) == d for _, d, passed in landings)
+        assert sampler.first == (3, 3, ("a", "b", "x"))
+
+    def test_chain_from_other_starts_is_refused(self, g3, sigma3):
+        chain = product_chain(g3, sigma3, fx.trivial_min(g3), ["s", "w"])
+        with pytest.raises(AssertionError):
+            simulate._Sampler(chain, "s")
