@@ -11,6 +11,7 @@ deterministic given identical files, flags, and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -98,9 +99,7 @@ def _load_strategy(path: str, g: GameGraph, player: Owner | None = None) -> Meal
 
 
 def _fmt(x: Fraction, decimal: bool) -> str:
-    if decimal:
-        return f"{format_rational(x)} ({float(x):g})"
-    return format_rational(x)
+    return f"{format_rational(x)} ({float(x):g})" if decimal else format_rational(x)
 
 
 def cmd_solve(args) -> int:
@@ -491,11 +490,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every command, or for `command` alone.
+    """The parser for every command, or for `command` alone, cached per command.
 
-    The one-command parser lists every command in its metavar, so the
-    top-level usage line in its errors reads as the full parser's.
+    `main` looks the handler up in `_COMMANDS` on each call. The one-command
+    parser lists every command in its metavar, so the top-level usage line
+    in its errors reads as the full parser's.
     """
     top = argparse.ArgumentParser(
         prog="stochparity",
@@ -506,9 +507,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     meta = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
     sub = top.add_subparsers(dest="command", required=True, **meta)
     for name in _COMMANDS if command is None else [command]:
-        func, help_, arguments = _COMMANDS[name]
+        _, help_, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
         p.add_argument("--cap", **_POSITIVE, default=2**20, help="enumeration cap")
         for arg, kw in arguments.items():
             p.add_argument(arg, **kw)
@@ -520,7 +520,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (StochparityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_STATUS.get(type(exc), 2)

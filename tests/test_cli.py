@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -918,6 +919,84 @@ class TestOneCommandParser:
         parser_exit(capsys, main, ["--version"])
         parser_exit(capsys, main, ["nope"])
         assert built == ["solve", None, None]
+
+
+def outcome(capsys, argv):
+    """(exit status, stdout, stderr) of `main(argv)`, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserBuiltOnce:
+    def test_repeated_calls_build_no_parser(self, files, capsys, monkeypatch):
+        assert run(capsys, "solve", files["g1"])[0] == 0
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "solve", files["g1"])[0] == 0
+        assert run(capsys, "solve", files["g1"], "--decimal")[0] == 0
+        assert built == []
+
+    def test_swapped_handler_runs_on_a_cached_parser(self, files, capsys, monkeypatch):
+        assert run(capsys, "solve", files["g1"])[0] == 0
+        parser = cli._build_parser("solve")
+        exc = errors.CapExceededError(5, 4)
+
+        def raising(args):
+            raise exc
+
+        _, help_, arguments = cli._COMMANDS["solve"]
+        monkeypatch.setitem(cli._COMMANDS, "solve", (raising, help_, arguments))
+        code, out, err = run(capsys, "solve", files["g1"])
+        assert cli._build_parser("solve") is parser
+        assert (code, out, err) == (
+            TestExitStatus.DOCUMENTED[errors.CapExceededError], "", f"error: {exc}\n"
+        )
+
+    def test_nothing_leaks_between_calls(self, files, capsys, monkeypatch):
+        # a fixed width, so help wraps alike here and in a fresh interpreter
+        monkeypatch.setenv("COLUMNS", "80")
+        g = files["g1"]
+        play = [files["g3"], files["sigma3"], files["tau3"], "--start", "s",
+                "--samples", "300", "--seed", "3"]
+        sequence = [
+            ["quality", "g", "s", "--bogus"],
+            ["solve", "-h"],
+            ["--version"],
+            ["solve", g, "--decimal"],
+            ["simulate", *play, "--deviations"],
+            ["solve", g],
+            ["simulate", *play],
+        ]
+        here = [outcome(capsys, argv) for argv in sequence]
+        for argv, result in zip(sequence, here):
+            alone = subprocess.run(
+                [sys.executable, "-c", "from stochparity.cli import entry; entry()",
+                 *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert result == (alone.returncode, alone.stdout, alone.stderr), argv
+        assert [code for code, _, _ in here] == [2, 0, 0, 0, 0, 0, 0]
+
+    def test_help_follows_the_terminal_width(self, capsys, monkeypatch):
+        helps = []
+        for columns in ("50", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            fresh = cli._build_parser.__wrapped__("solve")
+            expected = parser_exit(capsys, fresh.parse_args, ["solve", "-h"])
+            assert parser_exit(capsys, main, ["solve", "-h"]) == expected
+            helps.append(expected[1])
+        assert helps[0] != helps[1]
 
 
 EXACT_COMMANDS_SCRIPT = """
