@@ -12,11 +12,17 @@ with integer rows and fraction-free elimination (`linalg`).
 One kernel object, `_Chain`, does both on the collapsed chain: it splits
 a chain once into its forced map and branching rows, each solve lays its
 forced moves over that map, and `_collapse` maps every forced state (its
-only positive edge has probability 1) to the first branching state or
-forced cycle on its path, with the least priority on the way. Recurrent
-classes are found by Tarjan over the branching states only, which alone
-enter the linear system. Every exact solve goes through it: strategy
-pairs, product policies, chain win probabilities and `_absorption`.
+only positive edge has probability 1) to its tip: the first branching
+state on its path with the least priority on the way, or, for a path
+into a forced cycle, whether Max wins that cycle. `_collapse` is the one
+exact routine that follows forced paths (the sampler walks its own, for
+their length and the vertices passed); `values.solve_game` calls it in
+two stages. Recurrent classes are found by Tarjan over the branching
+states only, which alone enter the linear system. A system is keyed by
+the tip of every branching row's edge, so moves into different cycles of
+one parity share a solve, and equal values are interned per object.
+Every exact solve goes through `_Chain`: strategy pairs, product
+policies, chain win probabilities and `_absorption`.
 
 Fixing only one player's strategy leaves a finite MDP over (vertex,
 memory) pairs. Parity MDPs admit optimal policies that are memoryless
@@ -51,6 +57,8 @@ from .mealy import MealyStrategy
 State = tuple[str, str, str]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+# the ends `_branch_values` gives edges into won and lost forced cycles
+_WON, _LOST = object(), object()
 
 
 class Outcome(Enum):
@@ -214,61 +222,72 @@ def classify_bscc(chain: ProductChain, component: Iterable[State]) -> Outcome:
 
 
 def _collapse(forced, label):
-    """Where every forced state's forced path ends, and its least priority.
+    """Where every forced state's forced path ends: its tip.
 
-    `end[s]` is the first branching state on the path from `s`, or, when
-    the path closes a cycle of forced states first, the least member of
-    that cycle. `low[s]` is the least priority on the path before its
-    end; for a path into a forced cycle it is the cycle's own least
-    priority, the only one a play that stays on the cycle sees forever.
+    `tip[s]` is True or False when the path from `s` closes a cycle of
+    forced states: whether Max wins that cycle, by its least priority,
+    the only one a play that stays on it sees forever. Otherwise it is
+    (end, low): the first unforced state on the path and the least
+    priority on the way before it. A state may also be forced straight
+    to True or False, a cycle decided beforehand.
     """
-    end: dict = {}
-    low: dict = {}
+    tip: dict = {}
     for s in forced:
+        if s in tip:
+            continue
         path: list = []
         on_path: dict = {}
         t = s
-        while t in forced and t not in end:
+        while t in forced and t not in tip:
             if t in on_path:
                 cycle = path[on_path[t]:]
-                rep, least = min(cycle), min(label[c] for c in cycle)
+                won = _max_wins(label[c] for c in cycle)
                 for c in cycle:
-                    end[c], low[c] = rep, least
+                    tip[c] = won
                 del path[on_path[t]:]
                 break
             on_path[t] = len(path)
             path.append(t)
             t = forced[t]
-        if t in forced:
-            last, least = end[t], low[t]
-            into_cycle = last in forced
+        if t in tip:
+            after = tip[t]
+        elif t is True or t is False:
+            after = t
         else:
-            last, least, into_cycle = t, None, False
+            after = (t, None)
         for r in reversed(path):
-            if not into_cycle and (least is None or label[r] < least):
-                least = label[r]
-            end[r], low[r] = last, least
-    return end, low
+            if after is not True and after is not False:
+                least = after[1]
+                if least is None or label[r] < least:
+                    after = (after[0], label[r])
+            tip[r] = after
+    return tip
 
 
-def _branch_values(rows, end, low, label) -> dict:
+def _branch_values(rows, key, label) -> dict:
     """Win probability of every branching state of a collapsed chain.
 
-    The chain is given as its branching `rows` and the `end`/`low` maps
-    of `_collapse`. A forced cycle is won by its own least priority; a
-    bottom class of branching states, found by Tarjan over the branching
-    states only, by the least priority over its members and the forced
-    paths of their edges. The branching states off the winning classes
-    that can reach one are the unknowns of the linear system; each one's
-    row is built in integers, times the lcm of its probabilities' denominators.
+    The chain is given as its branching `rows` and a `key` holding the
+    `_collapse` tip of every row edge, in row order, with (t, None) for
+    an edge into a branching state t. A forced cycle is decided by its
+    tip; a bottom class of branching states, found by Tarjan over the
+    branching states only, by the least priority over its members and
+    the forced paths of their edges. The branching states off the
+    winning classes that can reach one are the unknowns of the linear
+    system; each one's row is built in integers, times the lcm of its
+    probabilities' denominators.
     """
-    succ = {b: [end.get(t, t) for t, _ in row] for b, row in rows.items()}
-    ends = {e for es in succ.values() for e in es}
-    won = {e for e in ends if e not in rows and _max_wins((low[e],))}
+    tips = iter(key)
+    edges = {b: [next(tips) for _ in row] for b, row in rows.items()}
+    succ = {
+        b: [_WON if k is True else _LOST if k is False else k[0] for k in ks]
+        for b, ks in edges.items()
+    }
+    won = {_WON}
     inner = {b: [e for e in es if e in rows] for b, es in succ.items()}
     for comp in map(set, _tarjan_sccs(list(rows), inner.__getitem__)):
         if all(e in comp for b in comp for e in succ[b]):
-            paths = [low[t] for b in comp for t, _ in rows[b] if t in low]
+            paths = [k[1] for b in comp for k in edges[b] if k[1] is not None]
             if _max_wins([label[b] for b in comp] + paths):
                 won.update(comp)
 
@@ -313,6 +332,8 @@ class _Chain:
     A state whose only positive edge has probability 1 is forced to its
     end; every other state in `transitions` is branching and keeps its
     positive edges. States without a row get their move from each solve.
+    Each system is solved once per key, and its values are interned, so
+    equal values from one object are one object.
     """
 
     def __init__(self, states, transitions: dict, label: dict):
@@ -327,27 +348,40 @@ class _Chain:
                 self.rows[s] = row
         self.targets = [t for row in self.rows.values() for t, _ in row]
         self.solved: dict[tuple, dict] = {}
+        self.interned: dict = {_ZERO: _ZERO, _ONE: _ONE}
+
+    def solve(self, key: tuple) -> dict:
+        """`_branch_values` of the system `key` describes, solved once per key."""
+        branch = self.solved.get(key)
+        if branch is None:
+            intern = self.interned.setdefault
+            branch = self.solved[key] = {
+                b: intern(x, x)
+                for b, x in _branch_values(self.rows, key, self.label).items()
+            }
+        return branch
 
     def values(self, moves: Iterable[tuple]) -> dict:
         """Win probability of every state, with the (state, successor) `moves` forced.
 
-        Move sets whose collapsed systems agree (the same end and least
-        priority on every branching row's edge) share one solve.
+        Move sets whose collapsed systems agree (the same tip on every
+        branching row's edge) share one solve.
         """
         forced = dict(self.forced)
         forced.update(moves)
-        end, low = _collapse(forced, self.label)
-        key = tuple((end.get(t, t), low.get(t)) for t in self.targets)
-        branch = self.solved.get(key)
-        if branch is None:
-            branch = self.solved[key] = _branch_values(self.rows, end, low, self.label)
+        tip = _collapse(forced, self.label)
+        branch = self.solve(
+            tuple(tip[t] if t in tip else (t, None) for t in self.targets)
+        )
         out: dict = {}
         for s in self.states:
-            e = end.get(s, s)
-            if e in branch:
-                out[s] = branch[e]
+            k = tip.get(s)
+            if k is None:
+                out[s] = branch[s]
+            elif k is True or k is False:
+                out[s] = _ONE if k else _ZERO
             else:
-                out[s] = _ONE if _max_wins((low[e],)) else _ZERO
+                out[s] = branch[k[0]]
         return out
 
 
@@ -415,7 +449,7 @@ def _optimum(tagged_maps, better):
         gains = loses = False
         for k, x in vals.items():
             y = best[k]
-            if x != y:
+            if x is not y and x != y:
                 if better(x, y):
                     best[k], gains = x, True
                 else:

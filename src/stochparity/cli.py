@@ -105,12 +105,13 @@ def _fmt(x: Fraction, decimal: bool) -> str:
 def cmd_solve(args) -> int:
     g = _load_game(args.game)
     sol = solve_game(g, cap=args.cap)
+    # written before any line is printed, so a failed write prints nothing
+    if args.out:
+        Path(args.out).write_text(serialize_solution(sol))
     for v in g.vertex_ids:
         print(f"{v}={_fmt(sol.values[v], args.decimal)}")
     print(f"consistent={'true' if sol.consistent else 'false'}")
     print(f"m={'inf' if sol.m == math.inf else format_rational(sol.m)}")
-    if args.out:
-        Path(args.out).write_text(serialize_solution(sol))
     return 0
 
 
@@ -343,6 +344,9 @@ def cmd_reset(args) -> int:
         g, sigma, args.cap, quality=rs.quality if pruned == g else None
     )
     after = lower_value(g, rs.strategy, args.cap) if rs.reset_pairs else before
+    # written before any line is printed, so a failed write prints nothing
+    if args.out:
+        Path(args.out).write_text(serialize_strategy(rs.strategy))
     for v in g.vertex_ids:
         print(
             f"{v}={_fmt(before[v], args.decimal)} -> {_fmt(after[v], args.decimal)}"
@@ -350,8 +354,6 @@ def cmd_reset(args) -> int:
         )
     pairs = " ".join(f"{v},{mem}" for v, mem in sorted(rs.reset_pairs))
     print(f"reset-pairs={pairs or 'none'}")
-    if args.out:
-        Path(args.out).write_text(serialize_strategy(rs.strategy))
     return 0
 
 

@@ -1,14 +1,17 @@
 """Exact game values, local value equations, and superfluous-edge pruning.
 
-Values are computed by dual enumeration: for every pair of memoryless
-strategies the induced chain is solved exactly, then lower (max of row
-minima) and upper (min of column maxima) envelopes are compared. Both
-players have memoryless optimal strategies in these games, so the two
-envelopes must coincide; any mismatch is reported as an implementation
-bug rather than silently resolved. A memoryless pair's chain is the game
-graph with every controlled vertex forced, so every pair is solved by one
-kernel object over the vertex graph (`chains._Chain`), and pairs that
-collapse to the same system share one solve within a call.
+Values are computed by dual enumeration: every pair of memoryless
+strategies is solved exactly, then lower (max of row minima) and upper
+(min of column maxima) envelopes are compared. Both players have
+memoryless optimal strategies in these games, so the two envelopes must
+coincide; any mismatch is reported as an implementation bug rather than
+silently resolved. A memoryless pair's chain is the game graph with
+every controlled vertex forced, so pairs are solved over the vertex
+graph by one kernel object (`chains._Chain`), collapsed in two stages by
+`chains._collapse`: Max's moves once per Max strategy, then Min's moves
+over the Min vertices only. Max strategies that collapse alike where
+Min's loop reads share that loop, and pairs that collapse to the same
+system share one solve within a call.
 
 The resulting value map satisfies the local equations (max over
 successors at Max vertices, min at Min vertices, the weighted average
@@ -35,6 +38,7 @@ every vertex has value zero.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chains import _Chain, _optimum
+from .chains import _ONE, _ZERO, _Chain, _collapse, _optimum
 from .errors import (
     CapExceededError,
     DeterminacyError,
@@ -152,15 +156,27 @@ def prune_superfluous(g: GameGraph, vals: ValueMap) -> GameGraph:
 def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     """Exact values and optimal memoryless strategies for both players.
 
-    Enumerates all memoryless strategy pairs (capped), solves each
-    induced chain exactly, and takes the max-of-minima envelope for Max
-    and the min-of-maxima envelope for Min. The two envelopes agreeing
-    at every vertex is the determinacy check; the returned witnesses
-    are the enumeration-first strategies achieving their envelope at
-    every vertex simultaneously (`chains._optimum`), which makes them
-    the lexicographically smallest optimal move choices.
-    Pairs whose collapsed systems agree (the same end and least priority
-    on every Random edge) share one solve within the call.
+    Solves every memoryless strategy pair (capped) exactly, and takes the
+    max-of-minima envelope for Max and the min-of-maxima envelope for
+    Min. The two envelopes agreeing at every vertex is the determinacy
+    check; the returned witnesses are the enumeration-first strategies
+    achieving their envelope at every vertex simultaneously
+    (`chains._optimum`), which makes them the lexicographically smallest
+    optimal move choices.
+
+    Each pair is collapsed in two stages by `chains._collapse`. Stage 1,
+    once per σ, lays σ's moves, the single-edge Random rows and the Min
+    vertices without a choice over the vertex graph; the other Min
+    vertices and the branching Random vertices stay ends. Stage 2 lays
+    τ's hops over those Min vertices only: a hop from u goes to the
+    stage-1 end of τ(u), with the least priority of u and that path. σs
+    whose stage-1 tips agree where the Min loop reads (Random-row targets
+    and Min successors) share one loop, which finds the values at the
+    ends; any other vertex has the value of its stage-1 end. So σ's row
+    minimum at v is its loop's minimum at v's end. τ's column maximum at
+    v is Max's best response, attained by one σ optimal at every vertex,
+    so it is the largest of τ's maxima at the ends some σ leads v to.
+    Systems that agree share one solve within the call.
     """
     n_pairs = count_memoryless(g, Owner.MAX) * count_memoryless(g, Owner.MIN)
     if n_pairs > cap:
@@ -172,42 +188,103 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     vertices = g.vertex_ids
     label = {v: g.priority(v) for v in vertices}
     chain = _Chain(vertices, g.distribution, label)
+    # a Min vertex without a choice is laid in stage 1, as a single-edge
+    # Random row is; the choosers' successors are what τ picks from
+    base = dict(chain.forced)
+    choices = {}
+    for u in min_owned:
+        if len(g.successors[u]) == 1:
+            base[u] = g.successors[u][0]
+        else:
+            choices[u] = g.successors[u]
+    # the stage-1 ends, each its own tip, and with True and False the places
+    # a Min loop gives values to
+    ends = {v: (v, None) for v in (*choices, *chain.rows)}
+    places = {k: i for i, k in enumerate([True, False, *ends])}
+    # what a Min loop reads of stage 1: the Random-row targets and the
+    # choosers' successors
+    read = list(dict.fromkeys(chain.targets + [w for ws in choices.values() for w in ws]))
 
-    row_min: list[ValueMap] = []
-    col_max: list[ValueMap] = [dict() for _ in taus]
+    # stage 1, once per σ, with the place of every vertex's stage-1 end
+    loops: dict[tuple, int] = {}
+    first_tips: list[dict] = []
+    sigma_at: list[tuple[int, list[int]]] = []
     for sigma in sigmas:
-        moves = list(zip(max_owned, sigma))
-        mins: ValueMap | None = None
-        for j, tau in enumerate(taus):
-            p = chain.values(moves + list(zip(min_owned, tau)))
-            cm = col_max[j]
-            if mins is None:
-                mins = dict(p)
-            # values are mostly shared objects (0, 1, a reused solve), and
-            # `is` skips comparing those
-            for v in vertices:
-                x = p[v]
-                y = mins[v]
-                if x is not y and x < y:
-                    mins[v] = x
-                y = cm.get(v)
-                if y is None or (x is not y and x > y):
-                    cm[v] = x
-        assert mins is not None
-        row_min.append(mins)
+        forced = dict(base)
+        forced.update(zip(max_owned, sigma))
+        tip = _collapse(forced, label)
+        tip.update(ends)
+        loop = loops.setdefault(tuple(map(tip.__getitem__, read)), len(loops))
+        if loop == len(first_tips):
+            first_tips.append(tip)
+        sigma_at.append((loop, [places[_end(k)] for k in map(tip.__getitem__, vertices)]))
 
-    lower, sigma_star = _optimum(zip(sigmas, row_min), operator.gt)
-    upper, tau_star = _optimum(zip(taus, col_max), operator.lt)
+    # the Min loops; τs whose hops agree, in one loop or another with the
+    # same Random-row tips, share one evaluation
+    choosers = list(choices)
+    row_keys: dict[tuple, int] = {}
+    evaluated: dict[tuple, int] = {}
+    found: list = []
+    picks: list[list[int]] = []
+    for tip in first_tips:
+        row_tips = [tip[t] for t in chain.targets]
+        rows = row_keys.setdefault(tuple(row_tips), len(row_keys))
+        pick = []
+        # the choosers' moves, in the order of `taus`
+        for moves in itertools.product(*choices.values()):
+            hops = tuple(map(tip.__getitem__, moves))
+            i = evaluated.get((rows, hops))
+            if i is None:
+                i = evaluated[rows, hops] = len(found)
+                found.append(
+                    _min_loop_values(chain, choosers, hops, row_tips, label, places)
+                )
+            pick.append(i)
+        picks.append(pick)
+
+    # every value is interned in `chain`, so one sort ranks them all and
+    # the envelopes compare small integers
+    ordered = sorted(chain.interned)
+    rank = {id(x): i for i, x in enumerate(ordered)}
+    for i, vals in enumerate(found):
+        found[i] = tuple(map(rank.__getitem__, map(id, vals)))
+    # each loop's minimum at every place, over its distinct evaluations
+    loop_min = [list(map(min, zip(*map(found.__getitem__, set(pick))))) for pick in picks]
+    lower, sigma_star = _optimum(
+        (
+            (sigma, dict(zip(vertices, map(loop_min[loop].__getitem__, at))))
+            for sigma, (loop, at) in zip(sigmas, sigma_at)
+        ),
+        operator.gt,
+    )
+
+    # τ's maximum at a vertex is the largest of its maxima at the ends some
+    # σ leads that vertex to
+    reached = [set(seen) for seen in zip(*(at for _, at in sigma_at))]
+    some_at = [next(iter(seen)) for seen in reached]
+    spread = [(v, list(seen)) for v, seen in zip(vertices, reached) if len(seen) > 1]
+
+    def column(j: int) -> dict:
+        best = list(map(max, zip(*(found[pick[j]] for pick in picks))))
+        out = dict(zip(vertices, map(best.__getitem__, some_at)))
+        for v, seen in spread:
+            out[v] = max(map(best.__getitem__, seen))
+        return out
+
+    upper, tau_star = _optimum(((tau, column(j)) for j, tau in enumerate(taus)), operator.lt)
     if lower != upper:
         raise DeterminacyError(
             "lower and upper enumerations disagree; this is a bug: "
             + ", ".join(
-                f"{v}: {lower[v]} vs {upper[v]}" for v in vertices if lower[v] != upper[v]
+                f"{v}: {ordered[lower[v]]} vs {ordered[upper[v]]}"
+                for v in vertices
+                if lower[v] != upper[v]
             )
         )
     if sigma_star is None or tau_star is None:
         raise DeterminacyError("no uniformly optimal memoryless strategy; this is a bug")
 
+    lower = {v: ordered[r] for v, r in lower.items()}
     return Solution(
         values=lower,
         sigma_star=memoryless(g, Owner.MAX, dict(zip(max_owned, sigma_star))),
@@ -215,8 +292,45 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
         consistent=is_consistent(g, lower),
         m=min_positive_value(lower),
         lower_enum=lower,
-        upper_enum=upper,
+        upper_enum=dict(lower),
     )
+
+
+def _end(tip):
+    """The end a `_collapse` tip leads to: True or False for a decided cycle."""
+    return tip if tip is True or tip is False else tip[0]
+
+
+def _min_loop_values(chain: _Chain, choosers, hops, row_tips, label, places) -> list:
+    """The values at `places` (True, False and the stage-1 ends) under one τ.
+
+    `hops` holds the stage-1 tip of τ's move at each Min vertex with a
+    choice and `row_tips` that of each Random-row target. Stage 2
+    collapses the hops over those vertices, which carries each row tip on
+    to its whole tip.
+    """
+    forced, low = {}, {}
+    for u, hop in zip(choosers, hops):
+        if hop is True or hop is False:
+            forced[u] = hop
+        else:
+            forced[u], least = hop
+            low[u] = label[u] if least is None or label[u] < least else least
+    tip = _collapse(forced, low)
+
+    def whole(first):
+        if first is True or first is False or first[0] not in tip:
+            return first
+        then = tip[first[0]]
+        if then is True or then is False or first[1] is None or then[1] <= first[1]:
+            return then
+        return (then[0], first[1])
+
+    out = {True: _ONE, False: _ZERO}
+    out.update(chain.solve(tuple(map(whole, row_tips))))
+    for u in choosers:
+        out[u] = out[_end(tip[u])]
+    return list(map(out.__getitem__, places))
 
 
 # ---------------------------------------------------------------------------

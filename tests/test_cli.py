@@ -101,6 +101,12 @@ class TestSolve:
         assert sol.values["s"] == 1
         assert sol.consistent is False
 
+    def test_unwritable_out_prints_nothing(self, files, capsys, tmp_path):
+        out_path = tmp_path / "nodir" / "sol.json"
+        code, out, err = run(capsys, "solve", files["g1"], "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "nodir" in err
+
     def test_cap_exceeded(self, files, capsys):
         code, _, err = run(capsys, "solve", files["g1"], "--cap", "1")
         assert code == 3
@@ -559,6 +565,12 @@ class TestReset:
         repaired = parse_strategy(p.read_bytes())
         assert validate_strategy(pruned, repaired) == []
         assert repaired.move("m3", "s") == "t"
+
+    def test_unwritable_out_prints_nothing(self, files, capsys, tmp_path):
+        p = tmp_path / "nodir" / "repaired.json"
+        code, out, err = run(capsys, "reset", files["g3"], files["sigma3"], "--out", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "nodir" in err
 
     def test_no_reset_needed(self, files, capsys):
         code, out, _ = run(capsys, "reset", files["g2"], make_strategy_file(
