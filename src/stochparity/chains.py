@@ -9,26 +9,26 @@ priority inside the class. Win probabilities are therefore exact:
 classify each bottom SCC, then solve the absorption system exactly,
 with integer rows and fraction-free elimination (`linalg`).
 
-One kernel object, `_Chain`, does both on the collapsed chain: it splits
-a chain once into its forced map and branching rows, each solve lays its
-forced moves over that map, and `_collapse` maps every forced state (its
-only positive edge has probability 1) to its tip: the first branching
-state on its path with the least priority on the way, or, for a path
-into a forced cycle, whether Max wins that cycle. `_collapse` is the one
-exact routine that follows forced paths (the sampler walks its own, for
-their length and the vertices passed); `values.solve_game` calls it in
-two stages. Recurrent classes are found by Tarjan over the branching
-states only, which alone enter the linear system. A system is keyed by
-the tip of every branching row's edge, so moves into different cycles of
-one parity share a solve, and equal values are interned per object.
-Every exact solve goes through `_Chain`: strategy pairs, product
-policies, chain win probabilities and `_absorption`.
+One kernel object, `_Chain`, does both on the collapsed chain, and tips
+go to values on its one path. A forced state (its only positive edge has
+probability 1) stands for its tip: the first end on its forced path with
+the least priority on the way, or True or False for a path into a forced
+cycle, whether Max wins it. `lay` collapses a chain's forced moves
+(`_collapse`, the one exact routine that follows forced paths; the
+sampler walks its own, for their length and the vertices passed);
+branching states and states whose move is open stay ends. `evaluate`
+hops the open moves at those ends, keys the system by the tip of every
+branching row's edge, so moves into cycles of one parity share a solve,
+and solves once per key, by Tarjan over the branching states only, which
+alone enter the linear system. Strategy pairs, product policies, chain
+win probabilities and `_absorption` all take this path.
 
 Fixing only one player's strategy leaves a finite MDP over (vertex,
 memory) pairs. Parity MDPs admit optimal policies that are memoryless
 on the product, so the free player's best value is found by exhaustive
-enumeration of product policies; the enumeration is capped and the cap
-reported when exceeded.
+enumeration of product policies, capped, with the cap reported when
+exceeded. The fixed strategy is laid once per table, and each policy is
+one `evaluate` over the choice states that have more than one move.
 
 Both enumerators, of product policies here and of strategy pairs in
 `values.solve_game`, take their optimum and witness in one pass
@@ -57,8 +57,6 @@ from .mealy import MealyStrategy
 State = tuple[str, str, str]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-# the ends `_branch_values` gives edges into won and lost forced cycles
-_WON, _LOST = object(), object()
 
 
 class Outcome(Enum):
@@ -235,31 +233,33 @@ def _collapse(forced, label):
     for s in forced:
         if s in tip:
             continue
+        # the states on the path hold None until their tip is known
         path: list = []
-        on_path: dict = {}
         t = s
         while t in forced and t not in tip:
-            if t in on_path:
-                cycle = path[on_path[t]:]
-                won = _max_wins(label[c] for c in cycle)
-                for c in cycle:
-                    tip[c] = won
-                del path[on_path[t]:]
-                break
-            on_path[t] = len(path)
+            tip[t] = None
             path.append(t)
             t = forced[t]
         if t in tip:
             after = tip[t]
+            if after is None:  # the path closed a cycle at t
+                cycle = path[path.index(t):]
+                after = _max_wins(label[c] for c in cycle)
+                tip.update(dict.fromkeys(cycle, after))
+                del path[-len(cycle):]
         elif t is True or t is False:
             after = t
         else:
             after = (t, None)
+        if after is True or after is False:
+            for r in path:
+                tip[r] = after
+            continue
+        end, least = after
         for r in reversed(path):
-            if after is not True and after is not False:
-                least = after[1]
-                if least is None or label[r] < least:
-                    after = (after[0], label[r])
+            if least is None or label[r] < least:
+                least = label[r]
+                after = (end, least)
             tip[r] = after
     return tip
 
@@ -280,10 +280,9 @@ def _branch_values(rows, key, label) -> dict:
     tips = iter(key)
     edges = {b: [next(tips) for _ in row] for b, row in rows.items()}
     succ = {
-        b: [_WON if k is True else _LOST if k is False else k[0] for k in ks]
-        for b, ks in edges.items()
+        b: [k if k is True or k is False else k[0] for k in ks] for b, ks in edges.items()
     }
-    won = {_WON}
+    won = {True}
     inner = {b: [e for e in es if e in rows] for b, es in succ.items()}
     for comp in map(set, _tarjan_sccs(list(rows), inner.__getitem__)):
         if all(e in comp for b in comp for e in succ[b]):
@@ -329,11 +328,11 @@ def _branch_values(rows, key, label) -> dict:
 class _Chain:
     """A chain split once into its forced map and branching rows.
 
-    A state whose only positive edge has probability 1 is forced to its
-    end; every other state in `transitions` is branching and keeps its
-    positive edges. States without a row get their move from each solve.
-    Each system is solved once per key, and its values are interned, so
-    equal values from one object are one object.
+    A state whose only positive edge has probability 1 is forced; every
+    other state in `transitions` is branching and keeps its positive
+    edges. States without a row get a move from `lay` or stay ends for
+    `evaluate` to hop over. Each system is solved once per key, and its
+    values are interned, so equal values from one object are one object.
     """
 
     def __init__(self, states, transitions: dict, label: dict):
@@ -341,48 +340,84 @@ class _Chain:
         self.forced: dict = {}
         self.rows: dict = {}
         for s, row in transitions.items():
-            row = tuple((t, p) for t, p in row if p != 0)
+            if len(row) != 1 or row[0][1] != 1:
+                row = tuple((t, p) for t, p in row if p != 0)
             if len(row) == 1 and row[0][1] == 1:
                 self.forced[s] = row[0][0]
             else:
                 self.rows[s] = row
+        # each unforced state's tip: its own end
+        self.open = {s: (s, None) for s in states if s not in self.forced}
         self.targets = [t for row in self.rows.values() for t, _ in row]
         self.solved: dict[tuple, dict] = {}
         self.interned: dict = {_ZERO: _ZERO, _ONE: _ONE}
 
     def solve(self, key: tuple) -> dict:
-        """`_branch_values` of the system `key` describes, solved once per key."""
-        branch = self.solved.get(key)
-        if branch is None:
+        """The value at True, False and every branching state of the system
+        `key` describes, by `_branch_values`, once per key."""
+        at = self.solved.get(key)
+        if at is None:
             intern = self.interned.setdefault
-            branch = self.solved[key] = {
-                b: intern(x, x)
-                for b, x in _branch_values(self.rows, key, self.label).items()
-            }
-        return branch
+            at = self.solved[key] = {True: _ONE, False: _ZERO}
+            for b, x in _branch_values(self.rows, key, self.label).items():
+                at[b] = intern(x, x)
+        return at
 
-    def values(self, moves: Iterable[tuple]) -> dict:
-        """Win probability of every state, with the (state, successor) `moves` forced.
-
-        Move sets whose collapsed systems agree (the same tip on every
-        branching row's edge) share one solve.
-        """
+    def lay(self, moves: Iterable[tuple]) -> dict:
+        """Stage 1: every state's tip, with the (state, successor) `moves`
+        forced; a state left unforced is its own end."""
         forced = dict(self.forced)
         forced.update(moves)
-        tip = _collapse(forced, self.label)
-        branch = self.solve(
-            tuple(tip[t] if t in tip else (t, None) for t in self.targets)
-        )
-        out: dict = {}
-        for s in self.states:
-            k = tip.get(s)
-            if k is None:
-                out[s] = branch[s]
-            elif k is True or k is False:
-                out[s] = _ONE if k else _ZERO
+        tip = dict(self.open)
+        tip.update(_collapse(forced, self.label))
+        return tip
+
+    def ends(self, tip: dict) -> list:
+        """The end of every state's tip, in state order: True or False for a
+        decided cycle."""
+        return [k if k is True or k is False else k[0] for k in map(tip.__getitem__, self.states)]
+
+    def evaluate(self, row_tips: tuple, hops: Iterable[tuple] = ()) -> dict:
+        """Stage 2: the value at every end, True and False included, in a
+        map that callers only read (with no hops, the cached one).
+
+        `row_tips` holds the stage-1 tip of every branching row's edge, in
+        `targets` order, and `hops` a (state, tip) pair for each end left
+        to a move: the stage-1 tip of its successor. The hops are laid
+        over those ends, with the least priority of each and its path,
+        and each row tip that ends at one is carried on to its whole tip.
+        """
+        label, forced, low = self.label, {}, {}
+        for u, hop in hops:
+            if hop is True or hop is False:
+                forced[u] = hop
             else:
-                out[s] = branch[k[0]]
-        return out
+                forced[u], least = hop
+                low[u] = label[u] if least is None or label[u] < least else least
+        if not forced:
+            return self.solve(row_tips)
+        tip = _collapse(forced, low)
+
+        def whole(first):
+            if first is True or first is False or first[0] not in tip:
+                return first
+            then = tip[first[0]]
+            if then is True or then is False or first[1] is None or then[1] <= first[1]:
+                return then
+            return (then[0], first[1])
+
+        at = dict(self.solve(tuple(map(whole, row_tips))))
+        for u in forced:
+            k = tip[u]
+            at[u] = at[k if k is True or k is False else k[0]]
+        return at
+
+    def values(self, moves: Iterable[tuple]) -> dict:
+        """Win probability of every state, with the (state, successor) `moves`
+        forced. Move sets whose collapsed systems agree share one solve."""
+        tip = self.lay(moves)
+        at = self.evaluate(tuple(map(tip.__getitem__, self.targets)))
+        return dict(zip(self.states, map(at.__getitem__, self.ends(tip))))
 
 
 def _absorption(
@@ -474,18 +509,31 @@ class _ProductMdp:
 
         base: dict[tuple[str, str], tuple] = {}
         self.choice_states: list[tuple[str, str]] = []
+        self.after: list[str] = []
+        # (index, state, memory after) of each choice state a policy hops
+        self.hops: list[tuple] = []
         for v, m in self.states:
             m2 = fixed.step(m, v)
-            if g.owner(v) is free_player:
-                self.choice_states.append((v, m))
-            else:
+            if g.owner(v) is not free_player:
                 base[v, m] = tuple(((w, m2), p) for w, p in _successors(g, v, fixed, m))
+                continue
+            ws = g.successors[v]
+            if len(ws) == 1:  # forced, as the fixed player's states are
+                base[v, m] = (((ws[0], m2), 1),)
+            else:
+                self.hops.append((len(self.choice_states), (v, m), m2))
+            self.choice_states.append((v, m))
+            self.after.append(m2)
         self.chain = _Chain(self.states, base, self.label)
-        self.after = [fixed.step(m, v) for v, m in self.choice_states]
         self.pools = [g.successors[v] for v, _ in self.choice_states]
+        self.tip = self.chain.lay(())
+        self.row_tips = tuple(map(self.tip.__getitem__, self.chain.targets))
+        self.ends = self.chain.ends(self.tip)
 
     def values_of(self, choice: tuple[str, ...]) -> dict:
-        return self.chain.values(zip(self.choice_states, zip(choice, self.after)))
+        hops = [(s, self.tip[choice[i], m2]) for i, s, m2 in self.hops]
+        at = self.chain.evaluate(self.row_tips, hops)
+        return dict(zip(self.states, map(at.__getitem__, self.ends)))
 
     def optimum(self, cap: int) -> tuple[dict, tuple[str, ...] | None]:
         """Best values over every policy, and the first policy attaining them."""

@@ -115,25 +115,26 @@ class GameGraph:
         return {v.id: v for v in self.vertices}
 
     @cached_property
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        succ: dict[str, list[str]] = {v.id: [] for v in self.vertices}
+    def out_edges(self) -> dict[str, tuple[Edge, ...]]:
+        """Every vertex's outgoing edges, in (src, dst) order, from one pass."""
+        rows: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
         for e in self.edges:
-            if e.src in succ:
-                succ[e.src].append(e.dst)
-        return {v: tuple(ws) for v, ws in succ.items()}
+            if e.src in rows:
+                rows[e.src].append(e)
+        return {v: tuple(es) for v, es in rows.items()}
+
+    @cached_property
+    def successors(self) -> dict[str, tuple[str, ...]]:
+        return {v: tuple(e.dst for e in es) for v, es in self.out_edges.items()}
 
     @cached_property
     def distribution(self) -> dict[str, tuple[tuple[str, Fraction], ...]]:
         """Outgoing (target, probability) rows for Random vertices."""
-        rows: dict[str, tuple[tuple[str, Fraction], ...]] = {}
-        for v in self.vertices:
-            if v.owner is Owner.RANDOM:
-                rows[v.id] = tuple(
-                    (e.dst, e.prob)
-                    for e in self.edges
-                    if e.src == v.id and e.prob is not None
-                )
-        return rows
+        return {
+            v.id: tuple((e.dst, e.prob) for e in self.out_edges[v.id] if e.prob is not None)
+            for v in self.vertices
+            if v.owner is Owner.RANDOM
+        }
 
     @property
     def vertex_ids(self) -> tuple[str, ...]:
@@ -180,8 +181,7 @@ def validate_game(g: GameGraph) -> list[str]:
         if (e.src, e.dst) in seen_edges:
             out.append(f"duplicate edge ({e.src!r}, {e.dst!r})")
         seen_edges.add((e.src, e.dst))
-        src_owner = g.by_id[e.src].owner if e.src in g.by_id else None
-        if src_owner is Owner.RANDOM:
+        if g.by_id[e.src].owner is Owner.RANDOM:
             if e.prob is None:
                 out.append(f"edge ({e.src!r}, {e.dst!r}): Random edge missing prob")
             elif not (0 < e.prob <= 1):
@@ -192,7 +192,7 @@ def validate_game(g: GameGraph) -> list[str]:
             out.append(f"edge ({e.src!r}, {e.dst!r}): prob on a controlled edge")
 
     for v in g.vertices:
-        row = [e for e in g.edges if e.src == v.id]
+        row = g.out_edges[v.id]
         if not row:
             out.append(f"vertex {v.id!r}: no outgoing edge")
         elif v.owner is Owner.RANDOM and all(e.prob is not None for e in row):

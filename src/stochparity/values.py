@@ -7,11 +7,11 @@ memoryless optimal strategies in these games, so the two envelopes must
 coincide; any mismatch is reported as an implementation bug rather than
 silently resolved. A memoryless pair's chain is the game graph with
 every controlled vertex forced, so pairs are solved over the vertex
-graph by one kernel object (`chains._Chain`), collapsed in two stages by
-`chains._collapse`: Max's moves once per Max strategy, then Min's moves
-over the Min vertices only. Max strategies that collapse alike where
-Min's loop reads share that loop, and pairs that collapse to the same
-system share one solve within a call.
+graph by one kernel object (`chains._Chain`): Max's moves are laid once
+per Max strategy, and each Min strategy's moves are evaluated over the
+Min vertices only. This module only enumerates: Max strategies that lay
+alike where Min's loop reads share that loop, Min strategies whose hops
+agree share one evaluation, and the envelopes compare ranks.
 
 The resulting value map satisfies the local equations (max over
 successors at Max vertices, min at Min vertices, the weighted average
@@ -38,6 +38,7 @@ every vertex has value zero.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chains import _ONE, _ZERO, _Chain, _collapse, _optimum
+from .chains import _Chain, _optimum
 from .errors import (
     CapExceededError,
     DeterminacyError,
@@ -164,19 +165,16 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     (`chains._optimum`), which makes them the lexicographically smallest
     optimal move choices.
 
-    Each pair is collapsed in two stages by `chains._collapse`. Stage 1,
-    once per σ, lays σ's moves, the single-edge Random rows and the Min
-    vertices without a choice over the vertex graph; the other Min
-    vertices and the branching Random vertices stay ends. Stage 2 lays
-    τ's hops over those Min vertices only: a hop from u goes to the
-    stage-1 end of τ(u), with the least priority of u and that path. σs
-    whose stage-1 tips agree where the Min loop reads (Random-row targets
-    and Min successors) share one loop, which finds the values at the
-    ends; any other vertex has the value of its stage-1 end. So σ's row
-    minimum at v is its loop's minimum at v's end. τ's column maximum at
-    v is Max's best response, attained by one σ optimal at every vertex,
-    so it is the largest of τ's maxima at the ends some σ leads v to.
-    Systems that agree share one solve within the call.
+    Each pair goes through the kernel's two stages. `_Chain.lay`, once
+    per σ, lays σ's moves and the Min vertices without a choice; the
+    other Min vertices stay ends, and `_Chain.evaluate` hops τ's moves
+    over them. σs whose stage-1 tips agree where the Min loop reads
+    (Random-row targets and Min successors) share one loop, which finds
+    the values at the ends; any other vertex has the value of its
+    stage-1 end. So σ's row minimum at v is its loop's minimum at v's
+    end. τ's column maximum at v is Max's best response, attained by one
+    σ optimal at every vertex, so it is the largest of τ's maxima at the
+    ends some σ leads v to.
     """
     n_pairs = count_memoryless(g, Owner.MAX) * count_memoryless(g, Owner.MIN)
     if n_pairs > cap:
@@ -186,49 +184,41 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     min_owned, taus = _memoryless_choices(g, Owner.MIN)
     sigmas, taus = list(sigmas), list(taus)
     vertices = g.vertex_ids
-    label = {v: g.priority(v) for v in vertices}
-    chain = _Chain(vertices, g.distribution, label)
-    # a Min vertex without a choice is laid in stage 1, as a single-edge
-    # Random row is; the choosers' successors are what τ picks from
-    base = dict(chain.forced)
-    choices = {}
+    # a Min vertex without a choice is forced, as a single-edge Random row
+    # is; the choosers' successors are what τ picks from
+    transitions, choices = dict(g.distribution), {}
     for u in min_owned:
         if len(g.successors[u]) == 1:
-            base[u] = g.successors[u][0]
+            transitions[u] = ((g.successors[u][0], 1),)
         else:
             choices[u] = g.successors[u]
-    # the stage-1 ends, each its own tip, and with True and False the places
-    # a Min loop gives values to
-    ends = {v: (v, None) for v in (*choices, *chain.rows)}
-    places = {k: i for i, k in enumerate([True, False, *ends])}
+    chain = _Chain(vertices, transitions, {v: g.priority(v) for v in vertices})
     # what a Min loop reads of stage 1: the Random-row targets and the
     # choosers' successors
     read = list(dict.fromkeys(chain.targets + [w for ws in choices.values() for w in ws]))
+    # the ends some vertex reaches in stage 1, numbered as first reached
+    places = collections.defaultdict(itertools.count().__next__)
 
     # stage 1, once per σ, with the place of every vertex's stage-1 end
     loops: dict[tuple, int] = {}
     first_tips: list[dict] = []
     sigma_at: list[tuple[int, list[int]]] = []
     for sigma in sigmas:
-        forced = dict(base)
-        forced.update(zip(max_owned, sigma))
-        tip = _collapse(forced, label)
-        tip.update(ends)
+        tip = chain.lay(zip(max_owned, sigma))
         loop = loops.setdefault(tuple(map(tip.__getitem__, read)), len(loops))
         if loop == len(first_tips):
             first_tips.append(tip)
-        sigma_at.append((loop, [places[_end(k)] for k in map(tip.__getitem__, vertices)]))
+        sigma_at.append((loop, list(map(places.__getitem__, chain.ends(tip)))))
 
     # the Min loops; τs whose hops agree, in one loop or another with the
     # same Random-row tips, share one evaluation
-    choosers = list(choices)
     row_keys: dict[tuple, int] = {}
     evaluated: dict[tuple, int] = {}
     found: list = []
     picks: list[list[int]] = []
     for tip in first_tips:
-        row_tips = [tip[t] for t in chain.targets]
-        rows = row_keys.setdefault(tuple(row_tips), len(row_keys))
+        row_tips = tuple(map(tip.__getitem__, chain.targets))
+        rows = row_keys.setdefault(row_tips, len(row_keys))
         pick = []
         # the choosers' moves, in the order of `taus`
         for moves in itertools.product(*choices.values()):
@@ -236,9 +226,8 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
             i = evaluated.get((rows, hops))
             if i is None:
                 i = evaluated[rows, hops] = len(found)
-                found.append(
-                    _min_loop_values(chain, choosers, hops, row_tips, label, places)
-                )
+                at = chain.evaluate(row_tips, zip(choices, hops))
+                found.append(tuple(map(at.__getitem__, places)))
             pick.append(i)
         picks.append(pick)
 
@@ -294,43 +283,6 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
         lower_enum=lower,
         upper_enum=dict(lower),
     )
-
-
-def _end(tip):
-    """The end a `_collapse` tip leads to: True or False for a decided cycle."""
-    return tip if tip is True or tip is False else tip[0]
-
-
-def _min_loop_values(chain: _Chain, choosers, hops, row_tips, label, places) -> list:
-    """The values at `places` (True, False and the stage-1 ends) under one τ.
-
-    `hops` holds the stage-1 tip of τ's move at each Min vertex with a
-    choice and `row_tips` that of each Random-row target. Stage 2
-    collapses the hops over those vertices, which carries each row tip on
-    to its whole tip.
-    """
-    forced, low = {}, {}
-    for u, hop in zip(choosers, hops):
-        if hop is True or hop is False:
-            forced[u] = hop
-        else:
-            forced[u], least = hop
-            low[u] = label[u] if least is None or label[u] < least else least
-    tip = _collapse(forced, low)
-
-    def whole(first):
-        if first is True or first is False or first[0] not in tip:
-            return first
-        then = tip[first[0]]
-        if then is True or then is False or first[1] is None or then[1] <= first[1]:
-            return then
-        return (then[0], first[1])
-
-    out = {True: _ONE, False: _ZERO}
-    out.update(chain.solve(tuple(map(whole, row_tips))))
-    for u in choosers:
-        out[u] = out[_end(tip[u])]
-    return list(map(out.__getitem__, places))
 
 
 # ---------------------------------------------------------------------------

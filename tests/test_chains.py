@@ -912,3 +912,74 @@ class TestOneSuccessorRule:
     def test_unknown_vertex_in_quality_table(self, g3):
         with pytest.raises(StrategyError, match="strategy moves to unknown vertex 'zz'"):
             quality_table(g3, self.off_the_game(g3))
+
+
+def policy_transitions(g, fixed, mdp, choice):
+    """The product chain of one policy of `mdp`, with every state's row."""
+    picked = dict(zip(mdp.choice_states, choice))
+    trans = {}
+    for v, m in mdp.states:
+        m2 = fixed.step(m, v)
+        if (v, m) in picked:
+            trans[(v, m)] = one((picked[(v, m)], m2))
+        elif g.owner(v) is Owner.RANDOM:
+            trans[(v, m)] = tuple(((w, m2), p) for w, p in g.distribution[v])
+        else:
+            trans[(v, m)] = one((fixed.move(m, v), m2))
+    return trans
+
+
+def multi_move_tables(lo: int, hi: int):
+    """(g, fixed, mdp) for seeded tables with two or more choice states that
+    have more than one move, and between lo and hi policies. The counting
+    machine's pivot varies, so memory also moves at choice states."""
+    for seed in range(60):
+        g = random_game(seed, 5 + seed % 4, 3, 3, Fraction(1, 3))
+        max_owned = g.owned_by(Owner.MAX)
+        cases = [(next(enumerate_memoryless(g, Owner.MIN)), Owner.MAX)]
+        if max_owned:
+            moves = {v: g.successors[v][-1] for v in max_owned}
+            pivot = g.vertex_ids[seed % len(g.vertex_ids)]
+            cases.append((stubborn_strategy(g, moves, moves, pivot, 2), Owner.MIN))
+        for fixed, free in cases:
+            mdp = chains._ProductMdp(g, fixed, free)
+            multi = sum(len(p) > 1 for p in mdp.pools)
+            if multi >= 2 and lo <= math.prod(map(len, mdp.pools)) <= hi:
+                yield g, fixed, mdp
+
+
+class TestPolicyEvaluation:
+    """Each policy is one stage-2 evaluation over the choice states that
+    have more than one move; everything else is laid once per table."""
+
+    def test_each_policy_collapses_only_its_hops(self, monkeypatch):
+        forced_maps = []
+        real = chains._collapse
+
+        def recording(forced, label):
+            forced_maps.append(set(forced))
+            return real(forced, label)
+
+        monkeypatch.setattr(chains, "_collapse", recording)
+        checked = 0
+        for g, fixed, mdp in multi_move_tables(4, 200):
+            hops = {s for s, pool in zip(mdp.choice_states, mdp.pools) if len(pool) > 1}
+            policies = list(itertools.product(*mdp.pools))
+            forced_maps.clear()
+            for choice in policies:
+                mdp.values_of(choice)
+            assert forced_maps == [hops] * len(policies)
+            checked += len(mdp.chain.forced) > len(hops)
+        assert checked >= 10
+
+    def test_every_policy_matches_the_dense_solve(self):
+        tables = policies = 0
+        for g, fixed, mdp in multi_move_tables(4, 200):
+            for choice in itertools.product(*mdp.pools):
+                trans = policy_transitions(g, fixed, mdp, choice)
+                assert mdp.values_of(choice) == reference_chain_values(
+                    mdp.states, trans, mdp.label
+                )
+                policies += 1
+            tables += 1
+        assert tables >= 20 and policies > 1000

@@ -213,6 +213,51 @@ class TestValidate:
         g = GameGraph("", (Vertex("x", Owner.MAX, -1),), (Edge("x", "x"),))
         assert any("priority" in m for m in validate_game(g))
 
+    def test_every_fault_at_once(self):
+        # one fault of every kind, reported in the order vertices, edges,
+        # then rows; duplicate ids share one row
+        g = GameGraph(
+            "",
+            (
+                Vertex("a", Owner.MAX, 0),
+                Vertex("a", Owner.MIN, 1),
+                Vertex("d", Owner.MIN, 0),
+                Vertex("n", Owner.MAX, -1),
+                Vertex("o", "bogus", 0),
+                Vertex("r", Owner.RANDOM, 0),
+                Vertex("s", Owner.RANDOM, 0),
+            ),
+            (
+                Edge("a", "a"),
+                Edge("a", "a"),
+                Edge("a", "zz"),
+                Edge("n", "a", Fraction(1)),
+                Edge("o", "a"),
+                Edge("r", "a", Fraction(1, 3)),
+                Edge("r", "d", Fraction(1, 3)),
+                Edge("s", "a"),
+                Edge("s", "s", Fraction(3, 2)),
+                Edge("z", "a"),
+            ),
+        )
+        assert validate_game(g) == [
+            "duplicate vertex id 'a'",
+            "vertex 'n': priority must be a nonnegative integer",
+            "vertex 'o': unknown owner 'bogus'",
+            "duplicate edge ('a', 'a')",
+            "edge ('a', 'zz'): unknown target vertex",
+            "edge ('n', 'a'): prob on a controlled edge",
+            "edge ('s', 'a'): Random edge missing prob",
+            "edge ('s', 's'): prob 3/2 outside (0, 1]",
+            "edge ('z', 'a'): unknown source vertex",
+            "vertex 'd': no outgoing edge",
+            "vertex 'r': probability row sum 2/3 != 1",
+        ]
+        assert g.distribution == {
+            "r": (("a", Fraction(1, 3)), ("d", Fraction(1, 3))),
+            "s": (("s", Fraction(3, 2)),),
+        }
+
 
 class TestPlays:
     def test_winner_examples(self, g1, g3):
