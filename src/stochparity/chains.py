@@ -340,12 +340,14 @@ class _Chain:
         self.forced: dict = {}
         self.rows: dict = {}
         for s, row in transitions.items():
-            if len(row) != 1 or row[0][1] != 1:
-                row = tuple((t, p) for t, p in row if p != 0)
-            if len(row) == 1 and row[0][1] == 1:
-                self.forced[s] = row[0][0]
-            else:
-                self.rows[s] = row
+            # `_ONE` by identity and zeros by numerator, before Fraction's
+            # Python-level comparison: forced rows carry `_ONE`
+            if len(row) != 1 or row[0][1] is not _ONE and row[0][1] != 1:
+                row = tuple(e for e in row if e[1].numerator)
+                if len(row) != 1 or row[0][1] != 1:
+                    self.rows[s] = row
+                    continue
+            self.forced[s] = row[0][0]
         # each unforced state's tip: its own end
         self.open = {s: (s, None) for s in states if s not in self.forced}
         self.targets = [t for row in self.rows.values() for t, _ in row]
@@ -519,7 +521,7 @@ class _ProductMdp:
                 continue
             ws = g.successors[v]
             if len(ws) == 1:  # forced, as the fixed player's states are
-                base[v, m] = (((ws[0], m2), 1),)
+                base[v, m] = (((ws[0], m2), _ONE),)
             else:
                 self.hops.append((len(self.choice_states), (v, m), m2))
             self.choice_states.append((v, m))

@@ -136,7 +136,7 @@ class GameGraph:
             if v.owner is Owner.RANDOM
         }
 
-    @property
+    @cached_property
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 

@@ -235,7 +235,8 @@ def _strategy_from_object(obj) -> MealyStrategy:
         raise GameFormatError("strategy file: memory_states must be nonempty strings")
     for m in mems:
         _check_unambiguous(m, "strategy file: memory state")
-    if len(set(mems)) != len(mems):
+    known = frozenset(mems)
+    if len(known) != len(mems):
         raise GameFormatError("strategy file: duplicate memory states")
     initial = obj["initial"]
     if initial not in mems:
@@ -245,24 +246,25 @@ def _strategy_from_object(obj) -> MealyStrategy:
         table: dict[tuple[str, str], str] = {}
         if not isinstance(obj[name], list):
             raise GameFormatError(f"strategy file: {name} must be an array")
+        fields = frozenset(("mem", "vertex", value_key))
         for i, item in enumerate(obj[name]):
-            where = f"{name}[{i}]"
             if not isinstance(item, dict):
-                raise GameFormatError(f"{where}: expected an object")
-            _require_keys(item, {"mem", "vertex", value_key}, {"mem", "vertex", value_key}, where)
+                raise GameFormatError(f"{name}[{i}]: expected an object")
+            if item.keys() != fields:
+                _require_keys(item, fields, fields, f"{name}[{i}]")
             m, v, target = item["mem"], item["vertex"], item[value_key]
-            if not all(isinstance(x, str) for x in (m, v, target)):
-                raise GameFormatError(f"{where}: fields must be strings")
-            if m not in mems:
-                raise GameFormatError(f"{where}: unknown memory {m!r}")
+            if not (isinstance(m, str) and isinstance(v, str) and isinstance(target, str)):
+                raise GameFormatError(f"{name}[{i}]: fields must be strings")
+            if m not in known:
+                raise GameFormatError(f"{name}[{i}]: unknown memory {m!r}")
             if (m, v) in table:
-                raise GameFormatError(f"{where}: duplicate row for ({m!r}, {v!r})")
+                raise GameFormatError(f"{name}[{i}]: duplicate row for ({m!r}, {v!r})")
             table[(m, v)] = target
         return table
 
     update = rows("update", "next")
     for (m, v), nxt in update.items():
-        if nxt not in mems:
+        if nxt not in known:
             raise GameFormatError(f"strategy file: update target {nxt!r} unknown")
     action = rows("action", "move")
     return MealyStrategy(player, tuple(sorted(mems)), initial, update, action)

@@ -21,6 +21,11 @@ nothing fetches nothing; that order of draws is fixed by this version.
 numpy draws int64 values, so a row whose common denominator exceeds
 2^63 is rejected with SimulationError before any play starts.
 
+One loop walks the plays in turn, drawing in that order, and tallies
+each one's outcome, (absorbed stop, step count), as it ends; no play is
+kept, so memory grows with the distinct outcomes, not with n. Each row
+is linked to its draws and each landing to the row it lands on.
+
 A walk stops as soon as it enters a closed recurrent class of the
 chain, since the play's winner is already decided there, and is
 Truncated if that takes more than `horizon` steps. Truncated plays are
@@ -34,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -145,33 +151,34 @@ class _Sampler:
 
     def plays(
         self, gen: np.random.Generator, n: int, horizon: int, trace: list | None = None
-    ) -> Iterator[tuple[int | None, int]]:
-        """n plays on one stream: each one's absorbed stop and step count.
+    ) -> dict[tuple[int | None, int], int]:
+        """The tally of n plays on one stream: how many stop on each absorbed
+        state after each step count, with (None, horizon) for the truncated.
 
-        A truncated play gives (None, horizon). `trace`, if given, gets the
-        vertex of every step appended.
+        `trace`, if given, gets the vertex of every step appended.
         """
-        absorbed = self.absorbed
-        # bind every row to its denominator's draws; rows that share one share them
-        draws = {den: _draws(gen, den) for den, _, _ in self.rows.values()}
-        rows = {i: (draws[den], c, ls) for i, (den, c, ls) in self.rows.items()}
+        # bind every row to its denominator's draws, so rows that share one
+        # share them, and every landing to the row of its stop, None if absorbed
+        draws = {den: _draws(gen, den).__next__ for den, _, _ in self.rows.values()}
+        linked = {i: [draws[den], cums] for i, (den, cums, _) in self.rows.items()}
+        for i, (_, _, landings) in self.rows.items():
+            linked[i].append([(linked.get(stop), stop, d, ps) for stop, d, ps in landings])
+        first = (linked.get(self.first[0]), *self.first)
+        tally: dict[tuple[int | None, int], int] = {}
         for _ in range(n):
-            stop, steps, passed = self.first
-            while steps <= horizon:
+            row, stop, steps, passed = first
+            while True:
                 if trace is not None:
-                    trace.extend(passed)
-                if stop in absorbed or steps == horizon:
+                    # a jump past the horizon is traced as far as it fits
+                    trace.extend(passed[: len(passed) + horizon - steps])
+                if row is None or steps >= horizon:
                     break
-                below, cums, landings = rows[stop]
-                stop, distance, passed = landings[bisect_right(cums, next(below))]
+                below, cums, landings = row
+                row, stop, distance, passed = landings[bisect_right(cums, below())]
                 steps += distance
-            else:
-                # the last jump passed the horizon: trace only what fits
-                if trace is not None:
-                    trace.extend(passed[: len(passed) - (steps - horizon)])
-            if steps > horizon or stop not in absorbed:
-                stop, steps = None, horizon
-            yield stop, steps
+            key = (None, horizon) if row is not None or steps > horizon else (stop, steps)
+            tally[key] = tally.get(key, 0) + 1
+        return tally
 
 
 def _draws(gen: np.random.Generator, den: int) -> Iterator[int]:
@@ -201,14 +208,17 @@ def _check_run(n: int, horizon: int) -> None:
         raise ValueError("horizon must be >= 1")
 
 
-def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int):
-    """Walk n plays, worker by worker, each chunk on its worker's own stream.
+def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int) -> Counter:
+    """The tally of n plays, summed over the workers' chunks, each chunk
+    walked on its worker's own stream.
 
     Workers past the n-th would draw nothing, so only min(workers, n)
     streams are made; the plays are the same for any larger count.
     """
+    tally: Counter = Counter()
     for worker, quota in enumerate(_chunks(n, min(workers, n))):
-        yield from sampler.plays(stream(seed, worker), quota, horizon)
+        tally.update(sampler.plays(stream(seed, worker), quota, horizon))
+    return tally
 
 
 def sample_play(
@@ -223,7 +233,7 @@ def sample_play(
     _check_run(1, horizon)
     sampler = _Sampler(product_chain(g, sigma, tau, [start]), start)
     trace = [start]
-    stop, _ = next(sampler.plays(stream(seed, 0), 1, horizon, trace))
+    (stop, _), = sampler.plays(stream(seed, 0), 1, horizon, trace)
     outcome, c = (Outcome.TRUNCATED, None) if stop is None else sampler.absorbed[stop]
     return PlayRecord(tuple(trace), outcome, c, None)
 
@@ -250,11 +260,11 @@ def estimate_value(
 
     wins = truncated = 0
     absorbed = sampler.absorbed
-    for stop, _ in _plays(sampler, n, seed, workers, horizon):
+    for (stop, _), count in _plays(sampler, n, seed, workers, horizon).items():
         if stop is None:
-            truncated += 1
+            truncated += count
         elif absorbed[stop][0] is Outcome.WIN:
-            wins += 1
+            wins += count
 
     effective = n - truncated
     if effective == 0:
@@ -296,12 +306,12 @@ def simulate_deviations(
 
     deviated = truncated = 0
     histogram: dict[int, int] = {}
-    for stop, steps in _plays(sampler, n, seed, workers, horizon):
+    for (stop, steps), count in _plays(sampler, n, seed, workers, horizon).items():
         if stop in dev_idx:
-            deviated += 1
-            histogram[steps] = histogram.get(steps, 0) + 1
+            deviated += count
+            histogram[steps] = histogram.get(steps, 0) + count
         elif stop is None:
-            truncated += 1
+            truncated += count
 
     return DeviationStats(
         empirical_p=Fraction(deviated, n),

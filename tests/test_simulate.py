@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -173,6 +174,20 @@ class TestEstimateValue:
         with pytest.raises(ValueError):
             estimate_value(g2, sig, tau, "r", 10, seed=0, workers=0)
 
+    def test_memory_does_not_grow_with_the_plays(self, g3, sigma3):
+        # plays are tallied as they end: a list of 10^6 plays alone would
+        # hold 8 MB of pointers
+        tau = fx.trivial_min(g3)
+        estimate_value(g3, sigma3, tau, "s", 10, seed=0)  # loads numpy untraced
+        tracemalloc.start()
+        try:
+            res = estimate_value(g3, sigma3, tau, "s", 10**6, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.n == 10**6 and res.truncated == 0
+        assert peak < 10**6
+
 
 class TestStderr:
     def test_exact_half(self):
@@ -333,7 +348,8 @@ class ReferenceSampler:
                 self.rows.append((den, cums, targets))
 
     def walk(self, draws, horizon, dev=frozenset()):
-        """(trace, outcome, absorbed class, first-deviation step) of one play."""
+        """(trace, outcome, absorbed class, first-deviation step, stop) of one
+        play: the stop is the index of the absorbed state, None if truncated."""
         idx, steps = self.start, 0
         trace = [self.vertex[idx]]
         first_dev = None
@@ -343,9 +359,10 @@ class ReferenceSampler:
             hit = self.absorbed.get(idx)
             if hit is not None:
                 outcome, c = hit
+                stop = idx
                 break
             if steps >= horizon:
-                outcome, c = Outcome.TRUNCATED, None
+                outcome, c, stop = Outcome.TRUNCATED, None, None
                 break
             row = self.rows[idx]
             if isinstance(row, int):
@@ -356,29 +373,49 @@ class ReferenceSampler:
                 idx = next(t for cut, t in zip(cums, targets) if u < cut)
             steps += 1
             trace.append(self.vertex[idx])
-        return tuple(trace), outcome, c, first_dev
+        return tuple(trace), outcome, c, first_dev, stop
+
+
+def reference_chunks(chain, start, n, seed, workers, horizon, dev=frozenset()):
+    """Each worker's plays in order, as ((stop, steps), outcome, first
+    deviation); a truncated play's key is (None, horizon), as the sampler's."""
+    sampler = ReferenceSampler(chain, start)
+    chunks = []
+    for worker, quota in enumerate(simulate._chunks(n, min(workers, n))):
+        draws = ReferenceDraws(stream(seed, worker))
+        chunk = []
+        for _ in range(quota):
+            trace, outcome, _, first_dev, stop = sampler.walk(draws, horizon, dev)
+            chunk.append(((stop, len(trace) - 1), outcome, first_dev))
+        chunks.append(chunk)
+    return chunks
 
 
 def reference_plays(chain, start, n, seed, workers, horizon, dev=frozenset()):
     """(outcome, first deviation) of n plays, chunked over worker streams."""
-    sampler = ReferenceSampler(chain, start)
-    out = []
-    for worker, quota in enumerate(simulate._chunks(n, min(workers, n))):
-        draws = ReferenceDraws(stream(seed, worker))
-        for _ in range(quota):
-            _, outcome, _, first_dev = sampler.walk(draws, horizon, dev)
-            out.append((outcome, first_dev))
-    return out
+    chunks = reference_chunks(chain, start, n, seed, workers, horizon, dev)
+    return [(outcome, first_dev) for chunk in chunks for _, outcome, first_dev in chunk]
 
 
-def sampled_plays(chain, start, n, seed, workers, horizon, dev=frozenset()):
-    """The same pairs, read off the jumping sampler's (stop, steps)."""
+def assert_plays_match(chain, start, n, seed, workers, horizon, dev=frozenset()):
+    """The jumping sampler's tallies against the oracle's plays, one by one.
+
+    The tally of each worker's first k plays, for every k on a fresh
+    stream, fixes every play in its order, and `_plays` must return the
+    sum over the workers. Each play's stop must give the oracle's outcome
+    and first-deviation date.
+    """
     sampler = simulate._Sampler(chain, start)
-    out = []
-    for stop, steps in simulate._plays(sampler, n, seed, workers, horizon):
-        outcome = Outcome.TRUNCATED if stop is None else sampler.absorbed[stop][0]
-        out.append((outcome, steps if stop in dev else None))
-    return out
+    chunks = reference_chunks(chain, start, n, seed, workers, horizon, dev)
+    for worker, chunk in enumerate(chunks):
+        want = Counter()
+        for k, ((stop, steps), outcome, first_dev) in enumerate(chunk, 1):
+            want[stop, steps] += 1
+            assert sampler.plays(stream(seed, worker), k, horizon) == want
+            got = Outcome.TRUNCATED if stop is None else sampler.absorbed[stop][0]
+            assert (got, steps if stop in dev else None) == (outcome, first_dev)
+    total = Counter(key for chunk in chunks for key, _, _ in chunk)
+    assert simulate._plays(sampler, n, seed, workers, horizon) == total
 
 
 def reference_estimate(plays, n):
@@ -444,10 +481,8 @@ class TestAgainstStepByStepWalk:
                 for horizon in HORIZONS:
                     for workers in (1, 3):
                         args = (start, 20, 7, workers, horizon)
-                        assert sampled_plays(chain, *args) == reference_plays(chain, *args)
-                        assert sampled_plays(dchain, *args, dev) == reference_plays(
-                            dchain, *args, dev
-                        )
+                        assert_plays_match(chain, *args)
+                        assert_plays_match(dchain, *args, dev)
                         compared += 1
         assert compared >= 61 * 5 * 5 * 2
 
@@ -516,9 +551,9 @@ class TestAgainstStepByStepWalk:
                     d > 1 for _, _, landings in sampler.rows.values()
                     for _, d, _ in landings
                 )
-                plays = sampled_plays(chain, start, 20, 5, 1, 2, dev)
-                truncated += sum(o is Outcome.TRUNCATED for o, _ in plays)
-                deviated += sum(d is not None for _, d in plays)
+                tally = simulate._plays(sampler, 20, 5, 1, 2)
+                truncated += sum(k for (stop, _), k in tally.items() if stop is None)
+                deviated += sum(k for (stop, _), k in tally.items() if stop in dev)
         assert jumps > 0 and truncated > 0 and deviated > 0
 
     def test_traces_match(self, corpus):
@@ -527,7 +562,7 @@ class TestAgainstStepByStepWalk:
                 reference = ReferenceSampler(product_chain(g, sigma, tau, [start]), start)
                 for horizon in HORIZONS[:4]:
                     for seed in range(3):
-                        trace, outcome, c, _ = reference.walk(
+                        trace, outcome, c, _, _ = reference.walk(
                             ReferenceDraws(stream(seed, 0)), horizon
                         )
                         rec = sample_play(g, sigma, tau, start, seed, horizon)
@@ -539,7 +574,7 @@ class TestAgainstStepByStepWalk:
         kinds = set()
         for horizon in range(1, 10):
             for seed in range(20):
-                trace, outcome, c, _ = reference.walk(
+                trace, outcome, c, _, _ = reference.walk(
                     ReferenceDraws(stream(seed, 0)), horizon
                 )
                 rec = sample_play(g3, sigma3, tau, "s", seed, horizon)
@@ -611,8 +646,7 @@ class TestJumpAtTheHorizon:
         chain = product_chain(g, sigma, tau, ["s"])
         for horizon in (2, 3, 4, 5):
             for seed in range(10):
-                args = ("s", 6, seed, 2, horizon)
-                assert sampled_plays(chain, *args) == reference_plays(chain, *args)
+                assert_plays_match(chain, "s", 6, seed, 2, horizon)
         # lands on x at step 3 = horizon, where it must stop before drawing
         rec = sample_play(g, sigma, tau, "s", 0, horizon=3)
         assert (rec.trace, rec.outcome) == (("s", "a", "b", "x"), Outcome.TRUNCATED)
@@ -651,9 +685,7 @@ class TestJumpAtTheHorizon:
         seen = set()
         for horizon in (1, 2, 3, 4):
             for seed in range(20):
-                args = ("t", 1, seed, 1, horizon)
-                got = sampled_plays(chain, *args)
-                assert got == reference_plays(chain, *args)
+                assert_plays_match(chain, "t", 1, seed, 1, horizon)
                 rec = sample_play(g, sigma, tau, "t", seed, horizon)
                 seen.add((horizon, rec.trace, rec.outcome))
         # a play into the run truncates below horizon 3 after its first moves
@@ -687,10 +719,9 @@ class TestDenominatorLimit:
         tau = fx.trivial_min(g)
         chain = product_chain(g, sigma3, tau, ["s"])
         args = ("s", 300, 4, 2, 10_000)
-        plays = reference_plays(chain, *args)
-        assert sampled_plays(chain, *args) == plays
+        assert_plays_match(chain, *args)
         assert estimate_value(g, sigma3, tau, "s", 300, 4, workers=2) == (
-            reference_estimate(plays, 300)
+            reference_estimate(reference_plays(chain, *args), 300)
         )
 
     def test_row_inside_an_absorbed_class_is_never_drawn(self):
@@ -782,10 +813,10 @@ class TestDrawOrder:
         sampler = simulate._Sampler(chain, "s")
         assert len(sampler.rows) == 1
         gen = CountingGenerator(stream(0, 0))
-        assert list(sampler.plays(gen, 5, 2)) == [(None, 2)] * 5
+        assert sampler.plays(gen, 5, 2) == {(None, 2): 5}
         assert gen.calls == []
-        (stop, steps), = sampler.plays(gen, 1, 4)
-        assert stop is not None and steps == 4
+        ((stop, steps), count), = sampler.plays(gen, 1, 4).items()
+        assert stop is not None and steps == 4 and count == 1
         assert gen.calls == [(0, 2, 256)]
 
     def test_rows_with_one_denominator_share_a_block(self):
@@ -793,16 +824,53 @@ class TestDrawOrder:
         chain = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
         sampler = simulate._Sampler(chain, "s")
         assert sorted(den for den, _, _ in sampler.rows.values()) == [2, 2, 2]
+        # every play draws twice, so 128 plays fetch one block, 129 two
         gen = CountingGenerator(stream(3, 0))
-        plays = sampler.plays(gen, 129, 10)
-        # every play draws twice, so 128 plays use up exactly one block
-        for _ in range(128):
-            next(plays)
+        assert sum(sampler.plays(gen, 128, 10).values()) == 128
         assert gen.calls == [(0, 2, 256)]
-        next(plays)
+        gen = CountingGenerator(stream(3, 0))
+        assert sum(sampler.plays(gen, 129, 10).values()) == 129
         assert gen.calls == [(0, 2, 256)] * 2
-        args = ("s", 129, 3, 1, 10)
-        assert sampled_plays(chain, *args) == reference_plays(chain, *args)
+        assert_plays_match(chain, "s", 129, 3, 1, 10)
+
+    def test_two_denominators_fetch_interleaved_blocks(self):
+        # s tosses a coin between a and b; a draws a third among w, l and
+        # back to s, b a half between w and l: denominators 2 and 3, drawn
+        # in an order only the plays decide
+        g = GameGraph(
+            "coin-and-die",
+            (
+                Vertex("s", Owner.RANDOM, 1),
+                Vertex("a", Owner.RANDOM, 1),
+                Vertex("b", Owner.RANDOM, 1),
+                Vertex("w", Owner.MAX, 0),
+                Vertex("l", Owner.MAX, 1),
+            ),
+            (
+                Edge("s", "a", H),
+                Edge("s", "b", H),
+                *(Edge("a", t, Fraction(1, 3)) for t in "wls"),
+                Edge("b", "w", H),
+                Edge("b", "l", H),
+                Edge("w", "w"),
+                Edge("l", "l"),
+            ),
+        )
+        chain = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
+        n = 2000
+        gen = CountingGenerator(stream(8, 0))
+        tally = simulate._Sampler(chain, "s").plays(gen, n, 10_000)
+        reference, want = ReferenceSampler(chain, "s"), Counter()
+        draws = ReferenceDraws(CountingGenerator(stream(8, 0)))
+        for _ in range(n):
+            trace, _, _, _, stop = reference.walk(draws, 10_000)
+            want[stop, len(trace) - 1] += 1
+        assert tally == want
+        assert gen.calls == draws.gen.calls
+        dens = [high for _, high, _ in gen.calls]
+        assert dens.count(2) >= 3 and dens.count(3) >= 3
+        # the blocks of one denominator are fetched between those of the other
+        assert sum(a != b for a, b in zip(dens, dens[1:])) >= 4
 
 
 class TestDeviationChainReachableOnly:
