@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .chains import product_chain
@@ -84,12 +83,22 @@ _EXIT_STATUS = {
 }
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _load_game(path: str) -> GameGraph:
-    return parse_game(Path(path).read_bytes())
+    return parse_game(_read(path))
 
 
 def _load_strategy(path: str, g: GameGraph, player: Owner | None = None) -> MealyStrategy:
-    s = parse_strategy(Path(path).read_bytes())
+    s = parse_strategy(_read(path))
     if player is not None and s.player is not player:
         raise StrategyError(f"{path}: expected a {player.value} strategy")
     bad = validate_strategy(g, s)
@@ -107,7 +116,7 @@ def cmd_solve(args) -> int:
     sol = solve_game(g, cap=args.cap)
     # written before any line is printed, so a failed write prints nothing
     if args.out:
-        Path(args.out).write_text(serialize_solution(sol))
+        _write(args.out, serialize_solution(sol))
     for v in g.vertex_ids:
         print(f"{v}={_fmt(sol.values[v], args.decimal)}")
     print(f"consistent={'true' if sol.consistent else 'false'}")
@@ -117,7 +126,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load_game(args.game)
-    sol = parse_solution(Path(args.solution).read_bytes())
+    sol = parse_solution(_read(args.solution))
     failures = []
 
     violations = check_value_equations(g, sol.values)
@@ -151,7 +160,7 @@ def cmd_prune(args) -> int:
     removed = sorted(set(g.edges) - set(pruned.edges), key=lambda e: (e.src, e.dst))
     text = serialize_game(pruned)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         for e in removed:
             print(f"removed {e.src}->{e.dst}")
         print(f"kept {len(pruned.edges)} of {len(g.edges)} edges")
@@ -346,7 +355,7 @@ def cmd_reset(args) -> int:
     after = lower_value(g, rs.strategy, args.cap) if rs.reset_pairs else before
     # written before any line is printed, so a failed write prints nothing
     if args.out:
-        Path(args.out).write_text(serialize_strategy(rs.strategy))
+        _write(args.out, serialize_strategy(rs.strategy))
     for v in g.vertex_ids:
         print(
             f"{v}={_fmt(before[v], args.decimal)} -> {_fmt(after[v], args.decimal)}"
@@ -418,7 +427,7 @@ def cmd_gen(args) -> int:
     )
     text = serialize_game(g)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -20,14 +20,15 @@ Game files are JSON with a fixed shape::
 Serialization is canonical: keys in the order shown, vertices sorted by
 id, edges sorted by (from, to), probabilities in lowest terms, and the
 name key omitted when the name is empty. Probabilities are rendered as
-"num/den" strings; floats never appear.
+"num/den" strings; floats never appear. The text is what
+`json.dumps(obj, indent=2)` writes, ASCII with \\uXXXX escapes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random as _stdrandom
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,10 +38,6 @@ from typing import Iterable, Sequence, Union
 from .errors import GameFormatError, GameValidationError, IllegalPlayError
 
 PlayPrefix = tuple[str, ...]
-
-# ASCII digits only: `\d` would take any Unicode digit
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
-
 
 class Owner(str, Enum):
     MAX = "max"
@@ -55,23 +52,30 @@ def _max_wins(priorities: Iterable[int]) -> bool:
 
 def parse_rational(text: str, what: str = "rational") -> Fraction:
     """Parse a "num/den" string into a Fraction (normalized to lowest terms)."""
+    return Fraction(*_ratio(text, what))
+
+
+def _ratio(text: str, what: str) -> tuple[int, int]:
+    """The integers of a "num/den" string as written, the denominator positive."""
     if not isinstance(text, str):
         raise GameFormatError(f"{what}: expected a 'num/den' string, got {text!r}")
-    m = _RATIONAL_RE.fullmatch(text)
-    if m is None:
+    num, _, den = text.partition("/")
+    # ASCII digits only: str.isdigit alone takes any Unicode digit
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isdigit() and den.isdigit() and text.isascii()):
         raise GameFormatError(f"{what}: malformed rational {text!r}")
     try:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = int(num), int(den)
     except ValueError:  # past the interpreter's digit limit for int()
         raise GameFormatError(f"{what}: rational has too many digits") from None
     if den == 0:
         raise GameFormatError(f"{what}: zero denominator in {text!r}")
-    return Fraction(num, den)
+    return num, den
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "num/den", denominator always present ("1/1", "0/1")."""
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -159,6 +163,8 @@ def validate_game(g: GameGraph) -> list[str]:
     Checked: unique vertex ids, nonnegative priorities, edge endpoints
     exist, no duplicate edges, no dead ends, probabilities present
     exactly on Random-owned rows, each in (0, 1], each row summing to 1.
+    Probabilities are exact numbers (Fraction or int), compared through
+    their integer (numerator, denominator) pairs.
     """
     out: list[str] = []
     seen: set[str] = set()
@@ -171,6 +177,7 @@ def validate_game(g: GameGraph) -> list[str]:
         if not isinstance(v.owner, Owner):
             out.append(f"vertex {v.id!r}: unknown owner {v.owner!r}")
 
+    by_id = g.by_id
     seen_edges: set[tuple[str, str]] = set()
     for e in g.edges:
         if e.src not in seen:
@@ -181,13 +188,16 @@ def validate_game(g: GameGraph) -> list[str]:
         if (e.src, e.dst) in seen_edges:
             out.append(f"duplicate edge ({e.src!r}, {e.dst!r})")
         seen_edges.add((e.src, e.dst))
-        if g.by_id[e.src].owner is Owner.RANDOM:
+        if by_id[e.src].owner is Owner.RANDOM:
             if e.prob is None:
                 out.append(f"edge ({e.src!r}, {e.dst!r}): Random edge missing prob")
-            elif not (0 < e.prob <= 1):
-                out.append(
-                    f"edge ({e.src!r}, {e.dst!r}): prob {e.prob} outside (0, 1]"
-                )
+            else:
+                # 0 < num <= den is 0 < prob <= 1, the denominator being positive
+                num, den = e.prob.as_integer_ratio()
+                if not 0 < num <= den:
+                    out.append(
+                        f"edge ({e.src!r}, {e.dst!r}): prob {e.prob} outside (0, 1]"
+                    )
         elif e.prob is not None:
             out.append(f"edge ({e.src!r}, {e.dst!r}): prob on a controlled edge")
 
@@ -196,10 +206,17 @@ def validate_game(g: GameGraph) -> list[str]:
         if not row:
             out.append(f"vertex {v.id!r}: no outgoing edge")
         elif v.owner is Owner.RANDOM and all(e.prob is not None for e in row):
-            total = sum(e.prob for e in row)
-            if total != 1:
+            total, lcm = _row_total([e.prob.as_integer_ratio() for e in row])
+            if total != lcm:
+                total = Fraction(total, lcm)
                 out.append(f"vertex {v.id!r}: probability row sum {total} != 1")
     return out
+
+
+def _row_total(ratios: list[tuple[int, int]]) -> tuple[int, int]:
+    """A row's sum over the lcm of its denominators, as (numerator, lcm)."""
+    lcm = math.lcm(*[den for _, den in ratios])
+    return sum([num * (lcm // den) for num, den in ratios]), lcm
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +224,10 @@ def validate_game(g: GameGraph) -> list[str]:
 
 
 _OWNER_NAMES = {o.value: o for o in Owner}
+# the keys of a game file's rows; the second edge set is a Random edge's
+_VERTEX_KEYS = frozenset(("id", "owner", "priority"))
+_EDGE_KEYS = frozenset(("from", "to"))
+_RANDOM_EDGE_KEYS = frozenset(("from", "to", "prob"))
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
@@ -251,7 +272,12 @@ def _check_unambiguous(name: str, what: str) -> None:
 
 
 def parse_game(text: Union[bytes, str]) -> GameGraph:
-    """Parse and validate a game file; raise on syntax or invariant violations."""
+    """Parse and validate a game file; raise on syntax or invariant violations.
+
+    The invariants of `validate_game` are checked in the same pass that
+    reads the rows, in integers; only a game that breaks one goes through
+    `validate_game`, which words every violation.
+    """
     obj = _decode(text, "game file")
     _require_keys(obj, {"name", "vertices", "edges"}, {"vertices", "edges"}, "game file")
     name = obj.get("name", "")
@@ -260,59 +286,114 @@ def parse_game(text: Union[bytes, str]) -> GameGraph:
     if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
         raise GameFormatError("game file: vertices and edges must be arrays")
 
+    # a row's `where` is written out only for its error
     vertices = []
+    owners: dict[str, Owner] = {}
+    sound = True  # no invariant broken so far
     for i, item in enumerate(obj["vertices"]):
-        where = f"vertices[{i}]"
         if not isinstance(item, dict):
-            raise GameFormatError(f"{where}: expected an object")
-        _require_keys(item, {"id", "owner", "priority"}, {"id", "owner", "priority"}, where)
+            raise GameFormatError(f"vertices[{i}]: expected an object")
+        if item.keys() != _VERTEX_KEYS:
+            _require_keys(item, _VERTEX_KEYS, _VERTEX_KEYS, f"vertices[{i}]")
         vid, owner, pri = item["id"], item["owner"], item["priority"]
         if not isinstance(vid, str) or not vid:
-            raise GameFormatError(f"{where}: id must be a nonempty string")
-        _check_unambiguous(vid, f"{where}: id")
+            raise GameFormatError(f"vertices[{i}]: id must be a nonempty string")
+        if "," in vid or "=" in vid or " " in vid or not vid.isprintable():
+            _check_unambiguous(vid, f"vertices[{i}]: id")
         if not isinstance(owner, str) or owner not in _OWNER_NAMES:
-            raise GameFormatError(f"{where}: owner must be one of max/min/random")
-        if isinstance(pri, bool) or not isinstance(pri, int):
-            raise GameFormatError(f"{where}: priority must be an integer")
-        vertices.append(Vertex(vid, _OWNER_NAMES[owner], pri))
+            raise GameFormatError(f"vertices[{i}]: owner must be one of max/min/random")
+        # JSON gives exact types, so this is "an int and not a bool"
+        if type(pri) is not int:
+            raise GameFormatError(f"vertices[{i}]: priority must be an integer")
+        owners[vid] = owner = _OWNER_NAMES[owner]
+        vertices.append(Vertex(vid, owner, pri))
+        if pri < 0:
+            sound = False
 
+    # each Random vertex's row, as (numerator, denominator) pairs
+    rows: dict[str, list] = {v: [] for v, o in owners.items() if o is Owner.RANDOM}
+    pairs = set()
     edges = []
     for i, item in enumerate(obj["edges"]):
-        where = f"edges[{i}]"
         if not isinstance(item, dict):
-            raise GameFormatError(f"{where}: expected an object")
-        _require_keys(item, {"from", "to", "prob"}, {"from", "to"}, where)
+            raise GameFormatError(f"edges[{i}]: expected an object")
+        keys = item.keys()
+        if keys != _EDGE_KEYS and keys != _RANDOM_EDGE_KEYS:
+            _require_keys(item, _RANDOM_EDGE_KEYS, _EDGE_KEYS, f"edges[{i}]")
         src, dst = item["from"], item["to"]
         if not isinstance(src, str) or not isinstance(dst, str):
-            raise GameFormatError(f"{where}: from/to must be strings")
-        prob = None
+            raise GameFormatError(f"edges[{i}]: from/to must be strings")
         if "prob" in item:
-            prob = parse_rational(item["prob"], f"{where}.prob")
+            num, den = _ratio(item["prob"], f"edges[{i}].prob")
+            prob = Fraction(num, den)
+            # a prob off a Random row, or outside (0, 1]
+            if src not in rows or not 0 < num <= den:
+                sound = False
+            else:
+                rows[src].append((num, den))
+        else:
+            prob = None
+            if src in rows:  # a Random edge missing its prob
+                sound = False
+        pairs.add((src, dst))
         edges.append(Edge(src, dst, prob))
 
     g = GameGraph(name, tuple(vertices), tuple(edges))
-    violations = validate_game(g)
-    if violations:
-        raise GameValidationError(violations)
+    if not (
+        sound
+        and len(owners) == len(vertices)  # no duplicate id
+        and len(pairs) == len(edges)  # no duplicate edge
+        and {src for src, _ in pairs} == owners.keys()  # known sources, no dead end
+        and owners.keys() >= {dst for _, dst in pairs}  # known targets
+        and all(total == lcm for total, lcm in map(_row_total, rows.values()))
+    ):
+        raise GameValidationError(validate_game(g))
     return g
+
+
+# ---------------------------------------------------------------------------
+# canonical writer: every file is laid out as `json.dumps(obj, indent=2)`
+# lays it out, ASCII with \uXXXX escapes, each kind of row rendered from one
+# %-template written at depth 0
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _indent(template: str, depth: int) -> str:
+    """A template written at depth 0, laid out for a value at `depth`."""
+    return template.replace("\n", "\n" + "  " * depth)
+
+
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """The array (or, with "{}", object) at `depth` of items laid out at depth + 1."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+_VERTEX_ROW = _indent('{\n  "id": %s,\n  "owner": "%s",\n  "priority": %d\n}', 2)
+_EDGE_ROW = _indent('{\n  "from": %s,\n  "to": %s\n}', 2)
+_RANDOM_EDGE_ROW = _indent('{\n  "from": %s,\n  "to": %s,\n  "prob": "%s"\n}', 2)
 
 
 def serialize_game(g: GameGraph) -> str:
     """Render a game in the canonical file format (deterministic text)."""
-    obj: dict = {}
-    if g.name:
-        obj["name"] = g.name
-    obj["vertices"] = [
-        {"id": v.id, "owner": v.owner.value, "priority": v.priority}
-        for v in g.vertices
+    name = '\n  "name": %s,' % _quote(g.name) if g.name else ""
+    vertices = [
+        _VERTEX_ROW % (_quote(v.id), v.owner.value, v.priority) for v in g.vertices
     ]
-    obj["edges"] = []
-    for e in g.edges:
-        row: dict = {"from": e.src, "to": e.dst}
-        if e.prob is not None:
-            row["prob"] = format_rational(e.prob)
-        obj["edges"].append(row)
-    return json.dumps(obj, indent=2) + "\n"
+    edges = [
+        _EDGE_ROW % (_quote(e.src), _quote(e.dst))
+        if e.prob is None
+        else _RANDOM_EDGE_ROW % (_quote(e.src), _quote(e.dst), format_rational(e.prob))
+        for e in g.edges
+    ]
+    return '{%s\n  "vertices": %s,\n  "edges": %s\n}\n' % (
+        name,
+        _block(vertices, 1),
+        _block(edges, 1),
+    )
 
 
 # ---------------------------------------------------------------------------

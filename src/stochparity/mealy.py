@@ -25,7 +25,6 @@ with memory states sorted and update/action rows sorted by (mem, vertex).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -34,8 +33,11 @@ from .game import (
     GameGraph,
     Owner,
     PlayPrefix,
+    _block,
     _check_unambiguous,
     _decode,
+    _indent,
+    _quote,
     _require_keys,
 )
 
@@ -80,8 +82,11 @@ def validate_strategy(g: GameGraph, s: MealyStrategy) -> list[str]:
     The update function must be total on memory x vertices with targets
     in the memory set; the action function must be defined exactly on
     memory x (vertices owned by the player) and every move must follow
-    an existing edge.
+    an existing edge. A strategy that fits is found so by set operations
+    alone; the row-by-row pass below only words what is wrong.
     """
+    if _fits(g, s):
+        return []
     out: list[str] = []
     if s.player not in (Owner.MAX, Owner.MIN):
         out.append(f"player must be max or min, got {s.player!r}")
@@ -118,6 +123,29 @@ def validate_strategy(g: GameGraph, s: MealyStrategy) -> list[str]:
         elif not g.has_edge(v, w):
             out.append(f"action ({m!r}, {v!r}) -> {w!r} is not an edge")
     return out
+
+
+def _fits(g: GameGraph, s: MealyStrategy) -> bool:
+    """True iff `validate_strategy` finds nothing wrong with s on g."""
+    player, update, action = s.player, s.update, s.action
+    # by identity, as `owned_by` matches owners
+    if player is not Owner.MAX and player is not Owner.MIN:
+        return False
+    mems = set(s.memory_states)
+    if not mems or len(mems) != len(s.memory_states) or s.initial not in mems:
+        return False
+    # distinct keys within mems x places, as many as it has, are all of it
+    succ, owned = g.successors, g.owned_by(player)
+    if len(update) != len(mems) * len(succ) or len(action) != len(mems) * len(owned):
+        return False
+    update_mems, places = zip(*update) if update else ((), ())
+    owned = set(owned)
+    return (
+        mems.issuperset(update_mems)
+        and succ.keys() >= set(places)
+        and mems.issuperset(update.values())
+        and all(m in mems and v in owned and w in succ[v] for (m, v), w in action.items())
+    )
 
 
 def memoryless(g: GameGraph, player: Owner, moves: Mapping[str, str]) -> MealyStrategy:
@@ -217,15 +245,18 @@ def parse_strategy(text: Union[bytes, str]) -> MealyStrategy:
     return _strategy_from_object(_decode(text, "strategy file"))
 
 
+_STRATEGY_KEYS = frozenset(("player", "memory_states", "initial", "update", "action"))
+
+
 def _strategy_from_object(obj) -> MealyStrategy:
     """A strategy from its decoded file object, as `parse_strategy` checks it."""
     if not isinstance(obj, dict):
         raise GameFormatError("strategy file: top level must be an object")
-    keys = {"player", "memory_states", "initial", "update", "action"}
-    _require_keys(obj, keys, keys, "strategy file")
+    if obj.keys() != _STRATEGY_KEYS:
+        _require_keys(obj, _STRATEGY_KEYS, _STRATEGY_KEYS, "strategy file")
     if obj["player"] not in ("max", "min"):
         raise GameFormatError("strategy file: player must be max or min")
-    player = Owner(obj["player"])
+    player = Owner.MAX if obj["player"] == "max" else Owner.MIN
     mems = obj["memory_states"]
     if (
         not isinstance(mems, list)
@@ -257,36 +288,50 @@ def _strategy_from_object(obj) -> MealyStrategy:
                 raise GameFormatError(f"{name}[{i}]: fields must be strings")
             if m not in known:
                 raise GameFormatError(f"{name}[{i}]: unknown memory {m!r}")
-            if (m, v) in table:
+            table[m, v] = target
+            if len(table) == i:  # the row took the place of an earlier one
                 raise GameFormatError(f"{name}[{i}]: duplicate row for ({m!r}, {v!r})")
-            table[(m, v)] = target
         return table
 
     update = rows("update", "next")
-    for (m, v), nxt in update.items():
-        if nxt not in known:
-            raise GameFormatError(f"strategy file: update target {nxt!r} unknown")
+    if not known.issuperset(update.values()):
+        nxt = next(nxt for nxt in update.values() if nxt not in known)
+        raise GameFormatError(f"strategy file: update target {nxt!r} unknown")
     action = rows("action", "move")
     return MealyStrategy(player, tuple(sorted(mems)), initial, update, action)
 
 
+# the strategy object and its rows, written at depth 0
+_STRATEGY = (
+    '{\n  "player": "%s",\n  "memory_states": %s,\n  "initial": %s,'
+    '\n  "update": %s,\n  "action": %s\n}'
+)
+_UPDATE_ROW = '{\n  "mem": %s,\n  "vertex": %s,\n  "next": %s\n}'
+_ACTION_ROW = '{\n  "mem": %s,\n  "vertex": %s,\n  "move": %s\n}'
+
+
 def serialize_strategy(s: MealyStrategy) -> str:
     """Render a strategy in the canonical file format."""
-    return json.dumps(_strategy_object(s), indent=2) + "\n"
+    return _strategy_text(s, 0) + "\n"
 
 
-def _strategy_object(s: MealyStrategy) -> dict:
-    """The JSON object of a strategy file, keys in canonical order."""
-    return {
-        "player": s.player.value,
-        "memory_states": sorted(s.memory_states),
-        "initial": s.initial,
-        "update": [
-            {"mem": m, "vertex": v, "next": s.update[(m, v)]}
-            for m, v in sorted(s.update)
-        ],
-        "action": [
-            {"mem": m, "vertex": v, "move": s.action[(m, v)]}
-            for m, v in sorted(s.action)
-        ],
-    }
+def _strategy_text(s: MealyStrategy, depth: int) -> str:
+    """A strategy's file object laid out at `depth`: a file's top level at 0,
+    a solution file's witness at 1."""
+    return _indent(_STRATEGY, depth) % (
+        s.player.value,
+        _block([_quote(m) for m in sorted(s.memory_states)], depth + 1),
+        _quote(s.initial),
+        _table_rows(_UPDATE_ROW, s.update, depth + 1),
+        _table_rows(_ACTION_ROW, s.action, depth + 1),
+    )
+
+
+def _table_rows(template: str, table: Mapping[tuple[str, str], str], depth: int) -> str:
+    """A table's rows in (mem, vertex) order, as the array at `depth`."""
+    if not table:
+        return "[]"
+    keys, values = zip(*sorted(table.items()))
+    mems, places = zip(*keys)
+    fields = zip(map(_quote, mems), map(_quote, places), map(_quote, values))
+    return _block(list(map(_indent(template, depth + 1).__mod__, fields)), depth)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -59,14 +58,16 @@ from .game import (
     Owner,
     format_rational,
     parse_rational,
+    _block,
     _decode,
+    _quote,
     _require_keys,
 )
 from .mealy import (
     MealyStrategy,
     _memoryless_choices,
     _strategy_from_object,
-    _strategy_object,
+    _strategy_text,
     count_memoryless,
     memoryless,
 )
@@ -289,15 +290,22 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
 # file format
 
 
+_SOLUTION = (
+    '{\n  "values": %s,\n  "sigma_star": %s,\n  "tau_star": %s,'
+    '\n  "consistent": %s,\n  "m": "%s"\n}\n'
+)
+
+
 def serialize_solution(sol: Solution) -> str:
-    obj = {
-        "values": {v: format_rational(x) for v, x in sorted(sol.values.items())},
-        "sigma_star": _strategy_object(sol.sigma_star),
-        "tau_star": _strategy_object(sol.tau_star),
-        "consistent": sol.consistent,
-        "m": "inf" if sol.m == math.inf else format_rational(sol.m),
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    values = sorted(sol.values.items())
+    values = ['%s: "%s"' % (_quote(v), format_rational(x)) for v, x in values]
+    return _SOLUTION % (
+        _block(values, 1, "{}"),
+        _strategy_text(sol.sigma_star, 1),
+        _strategy_text(sol.tau_star, 1),
+        "true" if sol.consistent else "false",
+        "inf" if sol.m == math.inf else format_rational(sol.m),
+    )
 
 
 def parse_solution(text: Union[bytes, str]) -> Solution:
@@ -318,8 +326,16 @@ def parse_solution(text: Union[bytes, str]) -> Solution:
         m = parse_rational(obj["m"], "m")
     return Solution(
         values=values,
-        sigma_star=_strategy_from_object(obj["sigma_star"]),
-        tau_star=_strategy_from_object(obj["tau_star"]),
+        sigma_star=_witness(obj, "sigma_star"),
+        tau_star=_witness(obj, "tau_star"),
         consistent=obj["consistent"],
         m=m,
     )
+
+
+def _witness(obj: dict, key: str) -> MealyStrategy:
+    """A solution file's witness, read as a strategy file; errors name the key."""
+    try:
+        return _strategy_from_object(obj[key])
+    except GameFormatError as exc:
+        raise GameFormatError(f"solution file: {key}: {exc}") from None

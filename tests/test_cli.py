@@ -1279,4 +1279,4 @@ class TestMalformedWitnessInSolution:
             parse_strategy(json.dumps(witness))
         code, out, err = run(capsys, "check", files["g3"], str(sol))
         assert (code, out) == (2, "")
-        assert err == f"error: {want.value}\n"
+        assert err == f"error: solution file: {field}: {want.value}\n"

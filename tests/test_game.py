@@ -60,6 +60,12 @@ class TestRationals:
             with pytest.raises(GameFormatError):
                 parse_rational(bad)
 
+    def test_signs_are_malformed(self):
+        # one minus sign before the numerator is all the format allows
+        for bad in ["--1/2", "-/2", "-1/-2", "1-/2", "-+1/2"]:
+            with pytest.raises(GameFormatError, match="malformed rational"):
+                parse_rational(bad)
+
     def test_format(self):
         assert format_rational(Fraction(1, 2)) == "1/2"
         assert format_rational(Fraction(3)) == "3/1"

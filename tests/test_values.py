@@ -283,6 +283,20 @@ class TestSolutionWitnessObjects:
             assert (back.sigma_star, back.tau_star) == (sol.sigma_star, sol.tau_star)
 
     @pytest.mark.parametrize("field", ["sigma_star", "tau_star"])
+    def test_malformed_witness_names_its_field(self, sol3, field):
+        data = json.loads(serialize_solution(sol3))
+        data[field]["update"][0]["next"] = 0
+        with pytest.raises(GameFormatError) as got:
+            parse_solution(json.dumps(data))
+        assert str(got.value) == f"solution file: {field}: update[0]: fields must be strings"
+        data[field] = []
+        with pytest.raises(GameFormatError) as got:
+            parse_solution(json.dumps(data))
+        assert str(got.value) == (
+            f"solution file: {field}: strategy file: top level must be an object"
+        )
+
+    @pytest.mark.parametrize("field", ["sigma_star", "tau_star"])
     def test_malformed_witness_reports_as_a_strategy_file(self, sol3, field):
         for witness in malformed_witnesses():
             with pytest.raises(GameFormatError) as want:
@@ -291,4 +305,5 @@ class TestSolutionWitnessObjects:
             data[field] = witness
             with pytest.raises(GameFormatError) as got:
                 parse_solution(json.dumps(data))
-            assert str(got.value) == str(want.value)
+            # the strategy file's message, naming the witness it is about
+            assert str(got.value) == f"solution file: {field}: {want.value}"
