@@ -30,6 +30,11 @@ enumeration of product policies, capped, with the cap reported when
 exceeded. The fixed strategy is laid once per table, and each policy is
 one `evaluate` over the choice states that have more than one move.
 
+`product_chain` can also stop at a given set of (vertex, Max memory)
+pairs: a state on one loops to itself and is never expanded, which is
+how `resets._deviation_chain` keeps only the states plays reach up to
+their first deviation.
+
 Both enumerators, of product policies here and of strategy pairs in
 `values.solve_game`, take their optimum and witness in one pass
 (`_optimum`): the witness is the first policy in enumeration order that
@@ -42,7 +47,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -142,15 +146,13 @@ def _bottom_sccs(nodes, succ) -> list[frozenset]:
     return out
 
 
-# (vertex, Max memory) pairs where `product_chain` stops; set in copied contexts
-_STOP: ContextVar[frozenset] = ContextVar("stop", default=frozenset())
-
-
 def product_chain(
     g: GameGraph,
     sigma: MealyStrategy,
     tau: MealyStrategy,
     start_vertices: Iterable[str],
+    *,
+    stop: frozenset[tuple[str, str]] = frozenset(),
 ) -> ProductChain:
     """Build the chain induced by a Max and a Min strategy.
 
@@ -160,7 +162,7 @@ def product_chain(
     reference edges absent from `g` (for instance edges removed by
     pruning) still induce a well-defined chain. Each state the starts
     reach is expanded once, in breadth-first order, by `_successors`,
-    except that a state on a (vertex, Max memory) pair in `_STOP` gets a
+    except that a state on a (vertex, Max memory) pair in `stop` gets a
     self-loop when first reached, so no move or update past it is read.
     """
     if sigma.player is not Owner.MAX:
@@ -173,7 +175,6 @@ def product_chain(
             raise IllegalPlayError(f"start vertex {v!r} is not in the game")
 
     start = {v: (v, sigma.initial, tau.initial) for v in starts}
-    stop = _STOP.get()
     # `states` grows while it is read, so it doubles as the breadth-first queue
     states: list[State] = list(start.values())
     transitions: dict[State, tuple[tuple[State, Fraction], ...]] = {}
@@ -511,7 +512,6 @@ class _ProductMdp:
 
         base: dict[tuple[str, str], tuple] = {}
         self.choice_states: list[tuple[str, str]] = []
-        self.after: list[str] = []
         # (index, state, memory after) of each choice state a policy hops
         self.hops: list[tuple] = []
         for v, m in self.states:
@@ -525,7 +525,6 @@ class _ProductMdp:
             else:
                 self.hops.append((len(self.choice_states), (v, m), m2))
             self.choice_states.append((v, m))
-            self.after.append(m2)
         self.chain = _Chain(self.states, base, self.label)
         self.pools = [g.successors[v] for v, _ in self.choice_states]
         self.tip = self.chain.lay(())

@@ -39,10 +39,13 @@ class CapExceededError(StochparityError, RuntimeError):
 
 
 class DeterminacyError(StochparityError, RuntimeError):
-    """Dual enumerations disagree, or no uniformly optimal policy exists.
+    """No uniformly optimal strategy or policy was found.
 
-    Either condition signals an implementation bug, not a property of the
-    input game.
+    `solve_game` raises it when no Max strategy attains the lower values
+    at every vertex, or no Min strategy holds every vertex to them
+    against every Max strategy; `mdp_value` when no product policy is
+    optimal at every state. Each signals an implementation bug, not a
+    property of the input game.
     """
 
 

@@ -24,14 +24,11 @@ so the repaired strategy is optimal.
 from __future__ import annotations
 
 import math
-from contextvars import copy_context
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .chains import (
-    _STOP, ProductChain, State, _absorption, mdp_table, product_chain
-)
+from .chains import ProductChain, State, _absorption, mdp_table, product_chain
 from .errors import (
     InconsistentGameError,
     InvalidThresholdError,
@@ -234,10 +231,7 @@ def _deviation_chain(
     state its self-loop when it first reaches it and never expands it, so
     the chain keeps only the states plays reach up to their first deviation.
     """
-    # the walk runs in a copy of the context, so the stop set ends with it
-    context = copy_context()
-    context.run(_STOP.set, dev)
-    chain = context.run(product_chain, g, sigma, tau, starts)
+    chain = product_chain(g, sigma, tau, starts, stop=dev)
     return chain, frozenset(s for s in chain.states if s[:2] in dev)
 
 

@@ -1,17 +1,18 @@
 """Exact game values, local value equations, and superfluous-edge pruning.
 
-Values are computed by dual enumeration: every pair of memoryless
-strategies is solved exactly, then lower (max of row minima) and upper
-(min of column maxima) envelopes are compared. Both players have
-memoryless optimal strategies in these games, so the two envelopes must
-coincide; any mismatch is reported as an implementation bug rather than
-silently resolved. A memoryless pair's chain is the game graph with
+Values are computed by enumeration: every pair of memoryless strategies
+is solved exactly, and the lower envelope (max of row minima) gives the
+values and Max's witness σ*. Both players have memoryless optimal
+strategies in these games, so some Min strategy concedes no more than
+those values against any Max strategy; the first such strategy is Min's
+witness, and finding none is reported as an implementation bug rather
+than silently resolved. A memoryless pair's chain is the game graph with
 every controlled vertex forced, so pairs are solved over the vertex
 graph by one kernel object (`chains._Chain`): Max's moves are laid once
 per Max strategy, and each Min strategy's moves are evaluated over the
-Min vertices only. This module only enumerates: Max strategies that lay
-alike where Min's loop reads share that loop, Min strategies whose hops
-agree share one evaluation, and the envelopes compare ranks.
+Min vertices only. This module only enumerates: pairs whose Random-row
+tips and hops agree share one evaluation, and the envelope and the
+witness check compare ranks.
 
 The resulting value map satisfies the local equations (max over
 successors at Max vertices, min at Min vertices, the weighted average
@@ -38,7 +39,6 @@ every vertex has value zero.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -158,24 +158,21 @@ def prune_superfluous(g: GameGraph, vals: ValueMap) -> GameGraph:
 def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
     """Exact values and optimal memoryless strategies for both players.
 
-    Solves every memoryless strategy pair (capped) exactly, and takes the
-    max-of-minima envelope for Max and the min-of-maxima envelope for
-    Min. The two envelopes agreeing at every vertex is the determinacy
-    check; the returned witnesses are the enumeration-first strategies
-    achieving their envelope at every vertex simultaneously
-    (`chains._optimum`), which makes them the lexicographically smallest
-    optimal move choices.
+    Solves every memoryless strategy pair (capped) exactly and takes the
+    max-of-minima envelope for Max: the lower values, and σ*, the
+    enumeration-first σ achieving them at every vertex at once
+    (`chains._optimum`). σ* holds every τ to at least those values, so τ
+    is optimal iff it concedes at most the lower value at every vertex
+    against every σ; τ* is the enumeration-first such τ. Both witnesses
+    are thus the lexicographically smallest optimal move choices, and
+    finding no σ* or no τ* is the determinacy check.
 
     Each pair goes through the kernel's two stages. `_Chain.lay`, once
     per σ, lays σ's moves and the Min vertices without a choice; the
     other Min vertices stay ends, and `_Chain.evaluate` hops τ's moves
-    over them. σs whose stage-1 tips agree where the Min loop reads
-    (Random-row targets and Min successors) share one loop, which finds
-    the values at the ends; any other vertex has the value of its
-    stage-1 end. So σ's row minimum at v is its loop's minimum at v's
-    end. τ's column maximum at v is Max's best response, attained by one
-    σ optimal at every vertex, so it is the largest of τ's maxima at the
-    ends some σ leads v to.
+    over them, once per distinct Random-row tips and hops, so pairs that
+    collapse alike share one evaluation. Any other vertex has the value
+    of its stage-1 end.
     """
     n_pairs = count_memoryless(g, Owner.MAX) * count_memoryless(g, Owner.MIN)
     if n_pairs > cap:
@@ -194,85 +191,72 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
         else:
             choices[u] = g.successors[u]
     chain = _Chain(vertices, transitions, {v: g.priority(v) for v in vertices})
-    # what a Min loop reads of stage 1: the Random-row targets and the
-    # choosers' successors
-    read = list(dict.fromkeys(chain.targets + [w for ws in choices.values() for w in ws]))
-    # the ends some vertex reaches in stage 1, numbered as first reached
-    places = collections.defaultdict(itertools.count().__next__)
+    # every stage-1 end: a decided cycle, a branching state or a chooser
+    places = [True, False, *chain.rows, *choices]
+    place = {e: i for i, e in enumerate(places)}
 
-    # stage 1, once per σ, with the place of every vertex's stage-1 end
-    loops: dict[tuple, int] = {}
-    first_tips: list[dict] = []
-    sigma_at: list[tuple[int, list[int]]] = []
+    # stage 1 once per σ, with the place of every vertex's stage-1 end;
+    # stage 2 once per distinct Random-row tips and hops, shared by every
+    # pair that collapses to them
+    evaluated: dict[tuple, dict] = {}
+    found: list = []
+    sigma_at: list[tuple[tuple, tuple]] = []
     for sigma in sigmas:
         tip = chain.lay(zip(max_owned, sigma))
-        loop = loops.setdefault(tuple(map(tip.__getitem__, read)), len(loops))
-        if loop == len(first_tips):
-            first_tips.append(tip)
-        sigma_at.append((loop, list(map(places.__getitem__, chain.ends(tip)))))
-
-    # the Min loops; τs whose hops agree, in one loop or another with the
-    # same Random-row tips, share one evaluation
-    row_keys: dict[tuple, int] = {}
-    evaluated: dict[tuple, int] = {}
-    found: list = []
-    picks: list[list[int]] = []
-    for tip in first_tips:
         row_tips = tuple(map(tip.__getitem__, chain.targets))
-        rows = row_keys.setdefault(row_tips, len(row_keys))
-        pick = []
-        # the choosers' moves, in the order of `taus`
-        for moves in itertools.product(*choices.values()):
-            hops = tuple(map(tip.__getitem__, moves))
-            i = evaluated.get((rows, hops))
-            if i is None:
-                i = evaluated[rows, hops] = len(found)
-                at = chain.evaluate(row_tips, zip(choices, hops))
-                found.append(tuple(map(at.__getitem__, places)))
-            pick.append(i)
-        picks.append(pick)
+        memo = evaluated.setdefault(row_tips, {})
+        # the tips of the choosers' moves, in the order of `taus`
+        hops = list(itertools.product(*(map(tip.__getitem__, ws) for ws in choices.values())))
+        for new in itertools.filterfalse(memo.__contains__, hops):
+            memo[new] = len(found)
+            at = chain.evaluate(row_tips, zip(choices, new))
+            found.append(tuple(map(at.__getitem__, places)))
+        pick = tuple(map(memo.__getitem__, hops))
+        sigma_at.append((pick, tuple(map(place.__getitem__, chain.ends(tip)))))
 
     # every value is interned in `chain`, so one sort ranks them all and
-    # the envelopes compare small integers
+    # the comparisons are of small integers
     ordered = sorted(chain.interned)
     rank = {id(x): i for i, x in enumerate(ordered)}
     for i, vals in enumerate(found):
         found[i] = tuple(map(rank.__getitem__, map(id, vals)))
-    # each loop's minimum at every place, over its distinct evaluations
-    loop_min = [list(map(min, zip(*map(found.__getitem__, set(pick))))) for pick in picks]
+
+    # σ's row minimum at each place, once per distinct pick
+    least = {
+        pick: list(map(min, zip(*map(found.__getitem__, set(pick)))))
+        for pick in dict.fromkeys(pick for pick, _ in sigma_at)
+    }
     lower, sigma_star = _optimum(
         (
-            (sigma, dict(zip(vertices, map(loop_min[loop].__getitem__, at))))
-            for sigma, (loop, at) in zip(sigmas, sigma_at)
+            (sigma, dict(zip(vertices, map(least[pick].__getitem__, at))))
+            for sigma, (pick, at) in zip(sigmas, sigma_at)
         ),
         operator.gt,
     )
 
-    # τ's maximum at a vertex is the largest of its maxima at the ends some
-    # σ leads that vertex to
-    reached = [set(seen) for seen in zip(*(at for _, at in sigma_at))]
-    some_at = [next(iter(seen)) for seen in reached]
-    spread = [(v, list(seen)) for v, seen in zip(vertices, reached) if len(seen) > 1]
-
-    def column(j: int) -> dict:
-        best = list(map(max, zip(*(found[pick[j]] for pick in picks))))
-        out = dict(zip(vertices, map(best.__getitem__, some_at)))
-        for v, seen in spread:
-            out[v] = max(map(best.__getitem__, seen))
-        return out
-
-    upper, tau_star = _optimum(((tau, column(j)) for j, tau in enumerate(taus)), operator.lt)
-    if lower != upper:
-        raise DeterminacyError(
-            "lower and upper enumerations disagree; this is a bug: "
-            + ", ".join(
-                f"{v}: {ordered[lower[v]]} vs {ordered[upper[v]]}"
-                for v in vertices
-                if lower[v] != upper[v]
-            )
-        )
+    # τ concedes at most the lower values against σ iff its rank at each
+    # place is at most the least lower rank of the vertices σ leads there,
+    # or the top rank where none
+    lower_ranks = list(map(lower.__getitem__, vertices))
+    checks = set()
+    for pick, at in dict.fromkeys(sigma_at):
+        bound = [len(ordered) - 1] * len(places)
+        for p, r in zip(at, lower_ranks):
+            if r < bound[p]:
+                bound[p] = r
+        checks.add((pick, tuple(bound)))
+    tau_star = next(
+        (
+            tau
+            for j, tau in enumerate(taus)
+            if all(all(map(operator.le, found[pick[j]], bound)) for pick, bound in checks)
+        ),
+        None,
+    )
     if sigma_star is None or tau_star is None:
-        raise DeterminacyError("no uniformly optimal memoryless strategy; this is a bug")
+        raise DeterminacyError(
+            "no memoryless strategy holds every vertex to the lower values; this is a bug"
+        )
 
     lower = {v: ordered[r] for v, r in lower.items()}
     return Solution(

@@ -493,6 +493,77 @@ class TestVerifyPrintsEveryLine:
         assert {id(s) for s in chained} == {id(s) for s in resetting}
 
 
+class TestVerifyRepairBranches:
+    """The reset lines' skipped candidates and their FAIL details."""
+
+    PASSED = [
+        f"PASS {name}"
+        for name in (
+            "value-equations", "determinacy", "prune-preserves-values",
+            "pruned-consistent", "one-step-martingale", "deviation-bound",
+        )
+    ]
+
+    def test_unrealizable_reset_is_skipped(self, capsys, monkeypatch, tmp_path):
+        # two stubborn candidates on this game play a pruned edge from a
+        # pair that does not reset, so the transform refuses them
+        p = tmp_path / "g.json"
+        p.write_text(serialize_game(random_game(261, 4, 3, 3, Fraction(1, 3))))
+        refused = []
+        real = cli.reset_transform
+
+        def recording(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except errors.StrategyError as exc:
+                refused.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "reset_transform", recording)
+        code, out, _ = run(capsys, "verify", str(p))
+        assert code == 0
+        assert out.splitlines() == [
+            *self.PASSED, "PASS reset-optimality", "PASS resets-settle",
+        ]
+        assert len(refused) == 2
+
+    def test_reset_optimality_detail(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "lower_value",
+            lambda g, sigma, cap, quality=None: dict.fromkeys(g.vertex_ids, Fraction(0)),
+        )
+        code, out, _ = run(capsys, "verify", files["g1"])
+        assert code == 1
+        assert out.splitlines() == [
+            *self.PASSED,
+            "FAIL reset-optimality: reset strategy guarantees {'a': Fraction(0, 1), "
+            "'l': Fraction(0, 1), 'w': Fraction(0, 1)}, values are {'a': Fraction(1, 1), "
+            "'l': Fraction(0, 1), 'w': Fraction(1, 1)}",
+            "PASS resets-settle",
+        ]
+
+    def test_resets_settle_detail(self, files, capsys, monkeypatch):
+        # every chain reported as one recurrent class, reset pairs included
+        real = cli.product_chain
+
+        class OneClass:
+            def __init__(self, chain):
+                self.states = chain.states
+
+            def bsccs(self):
+                return [frozenset(self.states)]
+
+        monkeypatch.setattr(cli, "product_chain", lambda *args: OneClass(real(*args)))
+        code, out, _ = run(capsys, "verify", files["g3"])
+        assert code == 1
+        assert out.splitlines() == [
+            *self.PASSED,
+            "PASS reset-optimality",
+            "FAIL resets-settle: a recurrent class still triggers resets",
+        ]
+
+
 class TestQualityAndLowerValue:
     def test_quality_lines(self, files, capsys):
         code, out, _ = run(capsys, "quality", files["g3"], files["sigma3"])

@@ -6,6 +6,8 @@ import itertools
 import operator
 from fractions import Fraction
 
+import pytest
+
 from stochparity import (
     Edge,
     GameGraph,
@@ -213,3 +215,117 @@ class TestSharing:
         assert sol.values == {"r": H, "m": 1, "c": 1, "d": 1, "e": 1, "z": 0}
         monkeypatch.undo()
         assert sol == reference_solve_game(g)
+
+
+def concedes(g: GameGraph, tau: tuple) -> dict:
+    """What Max gets at best against the memoryless Min choice `tau`."""
+    max_owned, sigmas = _memoryless_choices(g, MAX)
+    min_owned, _ = _memoryless_choices(g, MIN)
+    chain = chains._Chain(g.vertex_ids, g.distribution, {v: g.priority(v) for v in g.vertex_ids})
+    best = {}
+    for sigma in sigmas:
+        p = chain.values(list(zip(max_owned, sigma)) + list(zip(min_owned, tau)))
+        best = {v: max(best.get(v, p[v]), p[v]) for v in g.vertex_ids}
+    return best
+
+
+def two_choosers() -> GameGraph:
+    # nothing reaches the Max vertex x, so both of its moves lay alike
+    # wherever Min reads; Min chooses at y (into a, which Max wins, or l)
+    # and at z (into l or w), and should send both into the sink l
+    third = Fraction(1, 3)
+    return game(
+        ("x", MAX, 1), ("y", MIN, 1), ("z", MIN, 1), ("a", MAX, 2),
+        ("r", RND, 1), ("w", MAX, 0), ("l", MAX, 1),
+        edges=[("x", "w"), ("x", "l"), ("y", "a"), ("y", "l"), ("z", "l"),
+               ("z", "w"), ("a", "w"), ("r", "y", third), ("r", "z", third),
+               ("r", "w", third), ("w", "w"), ("l", "l")],
+    )
+
+
+class TestMinWitness:
+    def test_first_tau_meeting_the_values_everywhere(self):
+        g = two_choosers()
+        sol = check(g)
+        assert sol.values == {
+            "x": 1, "y": 0, "z": 0, "a": 1, "r": Fraction(1, 3), "w": 1, "l": 0,
+        }
+        _, taus = _memoryless_choices(g, MIN)
+        taus = list(taus)
+        assert taus == [("a", "l"), ("a", "w"), ("l", "l"), ("l", "w")]
+        # the first τ holds z to its value but concedes y; the second
+        # concedes both; τ* is the third
+        first = concedes(g, taus[0])
+        assert first["z"] == sol.values["z"] and first["y"] > sol.values["y"]
+        assert any(concedes(g, taus[1])[v] > x for v, x in sol.values.items())
+        assert (sol.tau_star.move("m0", "y"), sol.tau_star.move("m0", "z")) == taus[2]
+        assert concedes(g, taus[2]) == sol.values
+
+    def test_tau_star_first_among_several_optimal(self):
+        # z's two moves both reach the won cycle at w, so every τ that
+        # sends y to l is optimal; τ* is the first of them in order
+        g = game(
+            ("y", MIN, 1), ("z", MIN, 1), ("a", MAX, 2), ("b", MAX, 0),
+            ("r", RND, 1), ("w", MAX, 0), ("l", MAX, 1),
+            edges=[("y", "a"), ("y", "l"), ("z", "b"), ("z", "w"), ("a", "w"),
+                   ("b", "w"), ("r", "y", H), ("r", "z", H), ("w", "w"), ("l", "l")],
+        )
+        sol = check(g)
+        assert sol.values["r"] == H
+        assert (sol.tau_star.move("m0", "y"), sol.tau_star.move("m0", "z")) == ("l", "b")
+
+    def test_tau_star_holds_every_sigma(self):
+        # against σ* (s to the coin c) both of t's moves give ½, the value;
+        # but t -> s lets the other σ close the won cycle s, t, so only
+        # t -> z holds every σ to the values
+        g = game(
+            ("s", MAX, 2), ("t", MIN, 2), ("c", RND, 1), ("z", RND, 1),
+            ("w", MAX, 0), ("l", MAX, 1),
+            edges=[("s", "c"), ("s", "t"), ("t", "s"), ("t", "z"), ("c", "w", H),
+                   ("c", "l", H), ("z", "w", H), ("z", "l", H), ("w", "w"), ("l", "l")],
+        )
+        sol = check(g)
+        assert sol.values == {"s": H, "t": H, "c": H, "z": H, "w": 1, "l": 0}
+        assert sol.sigma_star.move("m0", "s") == "c"
+        assert concedes(g, ("s",))["t"] == 1
+        assert sol.tau_star.move("m0", "t") == "z"
+
+    def test_one_evaluation_per_distinct_key(self, monkeypatch):
+        # the two σs, once grouped into one Min loop, give the same
+        # Random-row tips and hops; each distinct pair of them is
+        # evaluated once
+        g = two_choosers()
+        keys = []
+        real = chains._Chain.evaluate
+
+        def recording(self, row_tips, hops=()):
+            hops = tuple(hops)
+            keys.append((row_tips, hops))
+            return real(self, row_tips, hops)
+
+        monkeypatch.setattr(chains._Chain, "evaluate", recording)
+        sol = solve_game(g)
+        assert len(keys) == len(set(keys)) == 4 < 2 * 4
+        monkeypatch.undo()
+        assert sol == reference_solve_game(g)
+
+
+class TestDeterminacyGuard:
+    def test_no_max_witness(self, monkeypatch):
+        real = values._optimum
+        monkeypatch.setattr(values, "_optimum", lambda *a: (real(*a)[0], None))
+        with pytest.raises(DeterminacyError, match="this is a bug"):
+            solve_game(two_choosers())
+
+    def test_no_min_witness(self, monkeypatch):
+        # lower values pushed down to the least rank at every vertex: no τ
+        # holds Max to them, since some vertex is worth more than 0
+        real = values._optimum
+
+        def lowest(*args):
+            best, tag = real(*args)
+            return dict.fromkeys(best, 0), tag
+
+        monkeypatch.setattr(values, "_optimum", lowest)
+        with pytest.raises(DeterminacyError, match="this is a bug"):
+            solve_game(two_choosers())
