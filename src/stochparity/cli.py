@@ -291,8 +291,12 @@ def cmd_verify(args) -> int:
         lo = lower_value(
             pruned, rs.strategy, args.cap, quality=None if rs.reset_pairs else q
         )
-        if lo != sol.values:
-            detail = f"reset strategy guarantees {lo}, values are {sol.values}"
+        off = next((v for v in pruned.vertex_ids if lo[v] != sol.values[v]), None)
+        if off is not None:
+            detail = (
+                f"from {off}: reset strategy guarantees {format_rational(lo[off])}, "
+                f"value is {format_rational(sol.values[off])}"
+            )
         if rs.reset_pairs and any(
             s[:2] in rs.reset_pairs
             for tau in taus

@@ -14,17 +14,31 @@ Successor draws at Random vertices are exact: a row with probabilities
 p_i is sampled by drawing a uniform integer below the common
 denominator of the p_i (rejection sampling inside numpy keeps this
 unbiased) and picking the successor whose cumulative numerator range
-contains it. When a worker's stream starts, every row is bound to the
-draws of its denominator, which fetch a block of 256 from the stream
-only when a draw finds the last block used up, so a play that draws
-nothing fetches nothing; that order of draws is fixed by this version.
-numpy draws int64 values, so a row whose common denominator exceeds
-2^63 is rejected with SimulationError before any play starts.
+contains it. Every row is bound to the draws of its denominator, which
+come from the worker's stream in blocks of 256, in the order the plays
+ask for them; that order of draws is fixed by this version. numpy draws
+int64 values, so a row whose common denominator exceeds 2^63 is
+rejected with SimulationError before any play starts.
 
-One loop walks the plays in turn, drawing in that order, and tallies
-each one's outcome, (absorbed stop, step count), as it ends; no play is
-kept, so memory grows with the distinct outcomes, not with n. Each row
-is linked to its draws and each landing to the row it lands on.
+No play is kept: each one's outcome, (absorbed stop, step count), is
+tallied, so memory grows with the distinct outcomes, not with n. The
+tally is made in one of three ways, chosen per chain, with the same
+draws and the same result:
+
+- If the start's forced run ends absorbed, or at or past the horizon,
+  no play draws, all n are alike, and no stream is made.
+- If the chain has one branching state, every draw is that row's, so
+  the draws form one stream whatever the plays do. `one_row_plays`
+  scans it in numpy a bounded batch of blocks at a time, fetched by the
+  same calls in the same order; it may fetch blocks past the last draw
+  used, which nothing reads. If a play would reach the horizon before
+  it is absorbed, the plays are walked again by the loop below on a
+  fresh stream.
+- Otherwise one loop, `_Sampler.plays`, walks the plays in turn,
+  fetching a block only when a draw finds the last one used up, so a
+  play that draws nothing fetches nothing. Each row is linked to its
+  draws and each landing to the row it lands on. The loop is the
+  reference the other two reproduce, and it alone traces plays.
 
 A walk stops as soon as it enters a closed recurrent class of the
 chain, since the play's winner is already decided there, and is
@@ -58,6 +72,7 @@ if TYPE_CHECKING:
 _MASK64 = (1 << 64) - 1
 _STDERR_SCALE = 10**12
 _MAX_DEN = 1 << 63  # numpy draws int64 values
+_BLOCK = 256  # draws fetched from a stream at a time
 
 
 def stream(seed: int, worker_index: int) -> np.random.Generator:
@@ -180,11 +195,71 @@ class _Sampler:
             tally[key] = tally.get(key, 0) + 1
         return tally
 
+    def one_row_plays(
+        self, gen: np.random.Generator, n: int, horizon: int
+    ) -> dict[tuple[int | None, int], int] | None:
+        """The tally `plays` gives for n plays on a chain with one branching
+        state, where the first landing is that state, below the horizon.
+
+        Every draw is that row's, so the draws form one stream whatever
+        the plays do, and they are scanned in numpy a batch of blocks at a
+        time. Returns None if some play would reach the horizon before it
+        is absorbed: `plays` stops drawing there, so the scan's plays are
+        no longer the loop's.
+        """
+        import numpy as np
+
+        (den, cums, landings), = self.rows.values()
+        bounds = np.array(cums, dtype=np.uint64)  # den may be 2^63
+        distance = np.array([d for _, d, _ in landings], dtype=np.int64)
+        hits = [stop in self.absorbed for stop, _, _ in landings]
+        absorbed = np.array(hits)
+        stops = [stop for stop, _, _ in landings]
+        width = len(landings)
+        # steps stay far below 2^63, so comparing them with the clipped
+        # horizon decides as comparing them with the horizon would, and
+        # keeps the comparison in int64 on numpy 1.x, which casts a larger
+        # Python int to float or object
+        cap = min(horizon, np.iinfo(np.int64).max)
+        start = steps = self.first[1]  # steps: of the play still open
+        # the chance that a draw ends a play; some landing is absorbed, or
+        # the row would be a closed class
+        ending = sum(b - a for a, b, hit in zip([0, *cums], cums, hits) if hit) / den
+        tally: dict[tuple[int | None, int], int] = {}
+        while n:
+            # about the draws the plays left need; fetching past the loop's
+            # last block is harmless, as nothing reads the stream after its
+            # plays, and 16 blocks bound a batch's memory
+            blocks = min(math.ceil(n / ending / _BLOCK), 16)
+            drawn = np.concatenate([gen.integers(0, den, size=_BLOCK) for _ in range(blocks)])
+            landing = np.searchsorted(bounds, drawn.astype(np.uint64), side="right")
+            walked = np.cumsum(distance[landing])
+            ends = np.flatnonzero(absorbed[landing])[:n]
+            if ends.size:
+                # each play's steps: its share of the walk, plus its start
+                at = walked[ends]
+                before = np.concatenate(([start - steps], at[:-1]))
+                played = at - before + start
+                last = landing[ends]
+                if (played - distance[last] >= cap).any():
+                    return None
+                # one code per key: landing and steps, or -1 if truncated
+                codes = np.where(played > cap, -1, played * width + last)
+                codes, counts = np.unique(codes, return_counts=True)
+                for code, count in zip(codes.tolist(), counts.tolist()):
+                    k, j = divmod(code, width)
+                    key = (None, horizon) if code < 0 else (stops[j], k)
+                    tally[key] = tally.get(key, 0) + count
+                steps = start - int(at[-1])
+            n -= ends.size
+            steps += int(walked[-1])
+        return tally
+
 
 def _draws(gen: np.random.Generator, den: int) -> Iterator[int]:
     """Uniform draws below den, fetched from gen a block of 256 at a time."""
     return itertools.chain.from_iterable(
-        gen.integers(0, den, size=256).tolist() for _ in itertools.repeat(None)
+        gen.integers(0, den, size=_BLOCK).tolist() for _ in itertools.repeat(None)
     )
 
 
@@ -213,11 +288,24 @@ def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int) -> 
     walked on its worker's own stream.
 
     Workers past the n-th would draw nothing, so only min(workers, n)
-    streams are made; the plays are the same for any larger count.
+    streams are made; the plays are the same for any larger count. If the
+    start's forced run ends absorbed, or at or past the horizon, no play
+    draws and all n are alike, so no stream is made at all. A chain with one
+    branching state is scanned by `one_row_plays`, and walked again by
+    `plays` on a fresh stream if a play reaches the horizon; any other
+    chain is walked by `plays`. All three give the same tally.
     """
+    stop, steps, _ = sampler.first
+    if stop in sampler.absorbed or steps >= horizon:
+        ended = stop in sampler.absorbed and steps <= horizon
+        return Counter({(stop, steps) if ended else (None, horizon): n})
+    one_row = len(sampler.rows) == 1
     tally: Counter = Counter()
     for worker, quota in enumerate(_chunks(n, min(workers, n))):
-        tally.update(sampler.plays(stream(seed, worker), quota, horizon))
+        part = sampler.one_row_plays(stream(seed, worker), quota, horizon) if one_row else None
+        if part is None:
+            part = sampler.plays(stream(seed, worker), quota, horizon)
+        tally.update(part)
     return tally
 
 

@@ -537,9 +537,7 @@ class TestVerifyRepairBranches:
         assert code == 1
         assert out.splitlines() == [
             *self.PASSED,
-            "FAIL reset-optimality: reset strategy guarantees {'a': Fraction(0, 1), "
-            "'l': Fraction(0, 1), 'w': Fraction(0, 1)}, values are {'a': Fraction(1, 1), "
-            "'l': Fraction(0, 1), 'w': Fraction(1, 1)}",
+            "FAIL reset-optimality: from a: reset strategy guarantees 0/1, value is 1/1",
             "PASS resets-settle",
         ]
 

@@ -21,6 +21,7 @@ from stochparity import (
     PlayRecord,
     SimulationError,
     Vertex,
+    absorption_probabilities,
     deviation_probabilities,
     deviation_states,
     estimate_value,
@@ -175,18 +176,25 @@ class TestEstimateValue:
             estimate_value(g2, sig, tau, "r", 10, seed=0, workers=0)
 
     def test_memory_does_not_grow_with_the_plays(self, g3, sigma3):
-        # plays are tallied as they end: a list of 10^6 plays alone would
-        # hold 8 MB of pointers
-        tau = fx.trivial_min(g3)
-        estimate_value(g3, sigma3, tau, "s", 10, seed=0)  # loads numpy untraced
-        tracemalloc.start()
-        try:
-            res = estimate_value(g3, sigma3, tau, "s", 10**6, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert res.n == 10**6 and res.truncated == 0
-        assert peak < 10**6
+        # plays are tallied as they end, or a bounded batch of draws at a
+        # time on a chain with one branching state: a list of 10^6 plays
+        # alone would hold 8 MB of pointers
+        retry = retry_game(Fraction(1, 4), Fraction(1, 4))
+        rows = []
+        for g, sigma, start in ((g3, sigma3, "s"), (retry, fx.trivial_max(retry), "t")):
+            tau = fx.trivial_min(g)
+            chain = product_chain(g, sigma, tau, [start])
+            rows.append(len(simulate._Sampler(chain, start).rows))
+            estimate_value(g, sigma, tau, start, 10, seed=0)  # loads numpy untraced
+            tracemalloc.start()
+            try:
+                res = estimate_value(g, sigma, tau, start, 10**6, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.n == 10**6 and res.truncated == 0
+            assert peak < 10**6
+        assert rows == [3, 1]
 
 
 class TestStderr:
@@ -397,25 +405,45 @@ def reference_plays(chain, start, n, seed, workers, horizon, dev=frozenset()):
     return [(outcome, first_dev) for chunk in chunks for _, outcome, first_dev in chunk]
 
 
-def assert_plays_match(chain, start, n, seed, workers, horizon, dev=frozenset()):
+def assert_plays_match(chain, start, n, seed, workers, horizon, dev=frozenset(), every=1):
     """The jumping sampler's tallies against the oracle's plays, one by one.
 
     The tally of each worker's first k plays, for every k on a fresh
     stream, fixes every play in its order, and `_plays` must return the
-    sum over the workers. Each play's stop must give the oracle's outcome
-    and first-deviation date.
+    sum over the workers; on long runs only every `every`-th k and the
+    last are tallied. Each play's stop must give the oracle's outcome and
+    first-deviation date. Where the first landing is the only branching
+    state, below the horizon, `one_row_plays` must give the same tallies
+    or None, and None only where the plays include a truncated one.
+    Returns how many tallies the scan made ("scanned"), how many of those
+    hold truncated plays ("cut"), and how many it left to the loop
+    ("walked").
     """
     sampler = simulate._Sampler(chain, start)
+    first, first_steps, _ = sampler.first
+    scan = len(sampler.rows) == 1 and first in sampler.rows and first_steps < horizon
+    used = Counter()
     chunks = reference_chunks(chain, start, n, seed, workers, horizon, dev)
     for worker, chunk in enumerate(chunks):
         want = Counter()
         for k, ((stop, steps), outcome, first_dev) in enumerate(chunk, 1):
             want[stop, steps] += 1
-            assert sampler.plays(stream(seed, worker), k, horizon) == want
             got = Outcome.TRUNCATED if stop is None else sampler.absorbed[stop][0]
             assert (got, steps if stop in dev else None) == (outcome, first_dev)
+            if k % every and k < len(chunk):
+                continue
+            assert sampler.plays(stream(seed, worker), k, horizon) == want
+            if scan:
+                tally = sampler.one_row_plays(stream(seed, worker), k, horizon)
+                assert tally == want or tally is None and want[None, horizon] > 0
+                used["walked" if tally is None else "scanned"] += 1
+                if tally is not None:
+                    # keys print, so they must be Python ints, not numpy's
+                    assert all(type(x) is int for key in tally for x in key if x is not None)
+                    used["cut"] += want[None, horizon] > 0
     total = Counter(key for chunk in chunks for key, _, _ in chunk)
     assert simulate._plays(sampler, n, seed, workers, horizon) == total
+    return used
 
 
 def reference_estimate(plays, n):
@@ -468,7 +496,7 @@ def corpus():
 
 class TestAgainstStepByStepWalk:
     def test_plays_match(self, corpus):
-        compared = 0
+        compared, used = 0, Counter()
         for g, sigma, tau, sol in corpus:
             dev_pairs = (
                 deviation_states(g, sigma, sol.values, sol.m)
@@ -481,10 +509,11 @@ class TestAgainstStepByStepWalk:
                 for horizon in HORIZONS:
                     for workers in (1, 3):
                         args = (start, 20, 7, workers, horizon)
-                        assert_plays_match(chain, *args)
-                        assert_plays_match(dchain, *args, dev)
+                        used += assert_plays_match(chain, *args)
+                        used += assert_plays_match(dchain, *args, dev)
                         compared += 1
         assert compared >= 61 * 5 * 5 * 2
+        assert used["scanned"] > 0 and used["cut"] > 0 and used["walked"] > 0
 
     def test_estimates_and_deviation_stats_match(self, corpus, monkeypatch):
         # a game's deviated pairs are the same for every start, horizon and
@@ -692,6 +721,180 @@ class TestJumpAtTheHorizon:
         assert (2, ("t", "a", "b"), Outcome.TRUNCATED) in seen
         assert (3, ("t", "a", "b", "w"), Outcome.WIN) in seen
         assert (1, ("t", "a"), Outcome.TRUNCATED) in seen
+
+
+def retry_game(win, lose):
+    """t draws w behind the forced x (chance `win`), l (`lose`), or the
+    forced run a -> b back to t (the rest).
+
+    t is the chain's only branching state, and its landings on w, l and t
+    are 2, 1 and 3 steps on.
+    """
+    vertices = [
+        Vertex("t", Owner.RANDOM, 1),
+        Vertex("x", Owner.MAX, 1),
+        Vertex("a", Owner.MAX, 1),
+        Vertex("b", Owner.MAX, 1),
+        Vertex("w", Owner.MAX, 0),
+        Vertex("l", Owner.MAX, 1),
+    ]
+    edges = [
+        Edge("t", "x", win),
+        Edge("t", "l", lose),
+        Edge("t", "a", 1 - win - lose),
+        Edge("x", "w"),
+        Edge("a", "b"),
+        Edge("b", "t"),
+        Edge("w", "w"),
+        Edge("l", "l"),
+    ]
+    return GameGraph("retry", tuple(vertices), tuple(edges))
+
+
+def retry_chain(win=Fraction(1, 4), lose=Fraction(1, 4)):
+    g = retry_game(win, lose)
+    return product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["t"])
+
+
+class TestOneRowScan:
+    def test_retry_chain_has_one_row(self):
+        sampler = simulate._Sampler(retry_chain(), "t")
+        (row, (den, _, landings)), = sampler.rows.items()
+        assert den == 4 and sorted(d for _, d, _ in landings) == [1, 2, 3]
+        assert sampler.first[:2] == (row, 0)
+
+    def test_plays_walks_one_row_chains_only_past_the_horizon(self, monkeypatch):
+        sampler = simulate._Sampler(retry_chain(), "t")
+        want = simulate._plays(sampler, 500, 3, 2, 10_000)
+        walked = []
+        real = simulate._Sampler.plays
+
+        def recording(self, gen, n, horizon):
+            walked.append((n, horizon))
+            return real(self, gen, n, horizon)
+
+        monkeypatch.setattr(simulate._Sampler, "plays", recording)
+        assert simulate._plays(sampler, 500, 3, 2, 10_000) == want
+        assert walked == []
+        # a play back on t at step 3 is truncated there at horizon 2
+        simulate._plays(sampler, 500, 3, 2, 2)
+        assert walked == [(250, 2), (250, 2)]
+
+    def test_runs_over_several_batches(self):
+        # about two draws a play: 3000 plays need more than the 16 blocks
+        # of one batch
+        chain = retry_chain()
+        gen = CountingGenerator(stream(2, 0))
+        simulate._Sampler(chain, "t").one_row_plays(gen, 3000, 10_000)
+        assert len(gen.calls) > 16 and set(gen.calls) == {(0, 4, 256)}
+        for workers in (1, 2):
+            used = assert_plays_match(chain, "t", 3000, 2, workers, 10_000, every=101)
+            assert used["scanned"] > 0 and used["cut"] == used["walked"] == 0
+
+    def test_every_horizon_up_to_past_the_longest_play(self):
+        # a play landing on w past the horizon is cut within the scan; one
+        # back on t at or past it hands the plays back to the loop
+        chain = retry_chain()
+        (plays,) = reference_chunks(chain, "t", 200, 4, 1, 10_000)
+        longest = max(steps for (_, steps), _, _ in plays)
+        used = Counter()
+        for horizon in range(1, longest + 2):
+            for workers in (1, 2):
+                used += assert_plays_match(chain, "t", 200, 4, workers, horizon, every=3)
+        assert used["cut"] > 0 and used["walked"] > 0
+
+    def test_horizon_cuts_only_the_last_play(self):
+        # n plays end on the first longest one of 3000, cut one step short
+        chain = retry_chain()
+        used = Counter()
+        for seed in range(10):
+            (plays,) = reference_chunks(chain, "t", 3000, seed, 1, 10_000)
+            lengths = [steps for (_, steps), _, _ in plays]
+            n = lengths.index(max(lengths)) + 1
+            used += assert_plays_match(chain, "t", n, seed, 1, lengths[n - 1] - 1, every=101)
+        assert used["cut"] > 0 and used["walked"] > 0
+
+    def test_horizon_past_int64(self):
+        chain = retry_chain()
+        used = assert_plays_match(chain, "t", 3000, 5, 2, 2**64, every=101)
+        assert used["scanned"] > 0 and used["cut"] == used["walked"] == 0
+        g = retry_game(Fraction(1, 4), Fraction(1, 4))
+        got = estimate_value(
+            g, fx.trivial_max(g), fx.trivial_min(g), "t", 3000, 5, horizon=2**64, workers=2
+        )
+        assert got == reference_estimate(reference_plays(chain, "t", 3000, 5, 2, 2**64), 3000)
+
+    def test_denominator_two_to_the_63(self):
+        tiny = Fraction(1, 2**63)
+        chain = retry_chain(H + tiny, tiny)
+        (den, cums, _), = simulate._Sampler(chain, "t").rows.values()
+        assert den == cums[-1] == 2**63
+        used = assert_plays_match(chain, "t", 3000, 7, 2, 10_000, every=101)
+        assert used["scanned"] > 0 and used["cut"] == used["walked"] == 0
+
+    def test_no_draw_makes_no_stream(self, g1, monkeypatch):
+        # the forced run from s is 4 moves to l, or 3 to the coin at x; w
+        # is a sink
+        cases = [(forced_run_game(coin=False), "s", h) for h in (3, 4, 5)]
+        cases += [(forced_run_game(coin=True), "s", h) for h in (2, 3)]
+        cases.append((g1, "w", 1))
+        sigma_g1 = memoryless(g1, Owner.MAX, {"a": "w", "w": "w", "l": "l"})
+        monkeypatch.setattr(simulate, "stream", None)  # any stream would fail
+        for g, start, horizon in cases:
+            sigma = sigma_g1 if g is g1 else fx.trivial_max(g)
+            chain = product_chain(g, sigma, fx.trivial_min(g), [start])
+            assert assert_plays_match(chain, start, 50, 0, 3, horizon) == Counter()
+        # so no count of plays costs more than another
+        chain = product_chain(g1, sigma_g1, fx.trivial_min(g1), ["w"])
+        sampler = simulate._Sampler(chain, "w")
+        assert simulate._plays(sampler, 10**12, 0, 2, 1) == {(sampler.first[0], 0): 10**12}
+
+
+class TestExactLaw:
+    """Tallied frequencies of each absorbed class against the exact law.
+
+    By Hoeffding's bound a class's frequency over N plays strays by t or
+    more from its probability with chance at most 2 exp(-2 N t^2); t is
+    fixed at a chance of 10^-9 per class, with the seed, before any run.
+    """
+
+    N, SEED, WORKERS, HORIZON = 20_000, 2026, 2, 10_000
+    BOUND = math.sqrt(math.log(2 * 10**9) / (2 * N))
+
+    def cases(self):
+        g1, g2, g3 = fx.g1(), fx.g2(), fx.g3()
+        sigma1 = memoryless(g1, Owner.MAX, {"a": "w", "w": "w", "l": "l"})
+        cases = [
+            (g1, sigma1, fx.trivial_min(g1), "a"),
+            (g2, fx.trivial_max(g2), fx.trivial_min(g2), "r"),
+            (g3, fx.sigma3(), fx.trivial_min(g3), "s"),
+        ]
+        for win, lose in ((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 10), Fraction(1, 5))):
+            g = retry_game(win, lose)
+            cases.append((g, fx.trivial_max(g), fx.trivial_min(g), "t"))
+        # seeded games whose witnesses make a chain with one branching
+        # state that one of its landings leads back to
+        for seed, start in ((8, "v2"), (55, "v1"), (67, "v0")):
+            g = random_game(seed, 5, 3, 3, Fraction(1, 3))
+            sol = solve_game(g)
+            cases.append((g, sol.sigma_star, sol.tau_star, start))
+        return cases
+
+    def test_frequencies_within_the_bound(self):
+        compared, rows = 0, []
+        for g, sigma, tau, start in self.cases():
+            chain = product_chain(g, sigma, tau, [start])
+            sampler = simulate._Sampler(chain, start)
+            rows.append(len(sampler.rows))
+            tally = simulate._plays(sampler, self.N, self.SEED, self.WORKERS, self.HORIZON)
+            assert (None, self.HORIZON) not in tally
+            for c in chain.bsccs():
+                hits = sum(k for (stop, _), k in tally.items() if chain.states[stop] in c)
+                p = absorption_probabilities(chain, c)[chain.start[start]]
+                assert abs(Fraction(hits, self.N) - p) <= self.BOUND, (g.name, start, c)
+                compared += 1
+        # G1 draws nothing, G3 walks three rows, the rest scan one
+        assert rows == [0, 1, 3, 1, 1, 1, 1, 1] and compared >= 15
 
 
 def g3_with_coin(den):
