@@ -205,7 +205,9 @@ class _Sampler:
         the plays do, and they are scanned in numpy a batch of blocks at a
         time. Returns None if some play would reach the horizon before it
         is absorbed: `plays` stops drawing there, so the scan's plays are
-        no longer the loop's.
+        no longer the loop's. That is checked for each absorbed play and,
+        at the end of each batch, for the play still open, so the scan
+        stops within a batch of the horizon however rarely plays end.
         """
         import numpy as np
 
@@ -253,6 +255,9 @@ class _Sampler:
                 steps = start - int(at[-1])
             n -= ends.size
             steps += int(walked[-1])
+            if n and steps >= cap:
+                # the open play reaches the horizon before its next draw
+                return None
         return tally
 
 
@@ -276,11 +281,13 @@ def _chunks(n: int, workers: int) -> list[int]:
     return [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
 
 
-def _check_run(n: int, horizon: int) -> None:
+def _check_run(n: int, horizon: int, workers: int = 1) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int) -> Counter:
@@ -343,7 +350,7 @@ def estimate_value(
     with denominator 10^12. Raises SimulationError when every sample
     was truncated.
     """
-    _check_run(n, horizon)
+    _check_run(n, horizon, workers)
     sampler = _Sampler(product_chain(g, sigma, tau, [start]), start)
 
     wins = truncated = 0
@@ -384,7 +391,7 @@ def simulate_deviations(
     reported. `cap` bounds the policy enumeration of sigma's quality
     table, as in `deviation_states`.
     """
-    _check_run(n, horizon)
+    _check_run(n, horizon, workers)
     dev_pairs = deviation_states(g, sigma, vals, m, cap)
     chain, absorbing = _deviation_chain(g, sigma, tau, dev_pairs, [start])
     sampler = _Sampler(chain, start)

@@ -167,13 +167,20 @@ class TestEstimateValue:
         with pytest.raises(SimulationError):
             estimate_value(g3, sigma3, fx.trivial_min(g3), "s", 20, seed=0, horizon=1)
 
-    def test_bad_args(self, g2):
+    def test_bad_args(self, g1, g2, sol1):
         tau = fx.trivial_min(g2)
         sig = fx.trivial_max(g2)
         with pytest.raises(ValueError):
             estimate_value(g2, sig, tau, "r", 0, seed=0)
         with pytest.raises(ValueError):
             estimate_value(g2, sig, tau, "r", 10, seed=0, workers=0)
+        # plays from the sink w draw nothing, and are still checked
+        sig = memoryless(g1, Owner.MAX, {"a": "w", "w": "w", "l": "l"})
+        tau = fx.trivial_min(g1)
+        with pytest.raises(ValueError):
+            estimate_value(g1, sig, tau, "w", 10, seed=0, workers=0)
+        with pytest.raises(ValueError):
+            simulate_deviations(g1, sig, tau, sol1.values, sol1.m, "w", 10, 0, workers=-1)
 
     def test_memory_does_not_grow_with_the_plays(self, g3, sigma3):
         # plays are tallied as they end, or a bounded batch of draws at a
@@ -832,6 +839,20 @@ class TestOneRowScan:
         used = assert_plays_match(chain, "t", 3000, 7, 2, 10_000, every=101)
         assert used["scanned"] > 0 and used["cut"] == used["walked"] == 0
 
+    def test_open_play_reaching_the_horizon_hands_back(self, monkeypatch):
+        # a play ends about once in 2^39 draws, so no absorbed landing
+        # shows the horizon: only the open play does, within the first batch
+        tiny = Fraction(1, 2**40)
+        chain = retry_chain(tiny, tiny)
+        sampler = simulate._Sampler(chain, "t")
+        gen = CountingGenerator(stream(0, 0), limit=32)
+        assert sampler.one_row_plays(gen, 100, 10) is None
+        assert len(gen.calls) <= 16
+        real = simulate.stream
+        monkeypatch.setattr(simulate, "stream", lambda *a: CountingGenerator(real(*a), 32))
+        used = assert_plays_match(chain, "t", 100, 0, 2, 10, every=7)
+        assert used["walked"] > 0 and used["scanned"] == 0
+
     def test_no_draw_makes_no_stream(self, g1, monkeypatch):
         # the forced run from s is 4 moves to l, or 3 to the coin at x; w
         # is a sink
@@ -983,13 +1004,17 @@ class TestArgumentsCheckedFirst:
 
 
 class CountingGenerator:
-    """A generator that records every block of draws asked of it."""
+    """A generator that records every block of draws asked of it, and
+    fails past `limit` blocks if one is given."""
 
-    def __init__(self, gen):
+    def __init__(self, gen, limit=None):
         self.gen = gen
         self.calls = []
+        self.limit = limit
 
     def integers(self, low, high, size):
+        if len(self.calls) == self.limit:
+            raise AssertionError(f"more than {self.limit} blocks drawn")
         self.calls.append((low, high, size))
         return self.gen.integers(low, high, size=size)
 
