@@ -35,11 +35,11 @@ pairs: a state on one loops to itself and is never expanded, which is
 how `resets._deviation_chain` keeps only the states plays reach up to
 their first deviation.
 
-Both enumerators, of product policies here and of strategy pairs in
-`values.solve_game`, take their optimum and witness in one pass
-(`_optimum`): the witness is the first policy in enumeration order that
-is optimal from every state at once. One always exists, so a pass that
-finds none reports a bug.
+The enumeration of product policies here and the Max side of
+`values.solve_game` take their optimum and witness in one pass
+(`_optimum`): the first policy in enumeration order optimal from every
+state at once, which always exists, so a pass that finds none reports a
+bug. `solve_game`'s τ* comes from a rank check against that envelope.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ def cmd_verify(args) -> int:
             pruned, rs.strategy, args.cap, quality=None if rs.reset_pairs else q
         )
         off = next((v for v in pruned.vertex_ids if lo[v] != sol.values[v]), None)
-        if off is not None:
+        if off is not None and not detail:  # name the first failing candidate
             detail = (
                 f"from {off}: reset strategy guarantees {format_rational(lo[off])}, "
                 f"value is {format_rational(sol.values[off])}"

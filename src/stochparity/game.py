@@ -167,28 +167,28 @@ def validate_game(g: GameGraph) -> list[str]:
     their integer (numerator, denominator) pairs.
     """
     out: list[str] = []
-    seen: set[str] = set()
+    # each id's owner, the last one where an id repeats, as in `by_id`
+    owners: dict[str, Owner] = {}
     for v in g.vertices:
-        if v.id in seen:
+        if v.id in owners:
             out.append(f"duplicate vertex id {v.id!r}")
-        seen.add(v.id)
+        owners[v.id] = v.owner
         if not isinstance(v.priority, int) or v.priority < 0:
             out.append(f"vertex {v.id!r}: priority must be a nonnegative integer")
         if not isinstance(v.owner, Owner):
             out.append(f"vertex {v.id!r}: unknown owner {v.owner!r}")
 
-    by_id = g.by_id
     seen_edges: set[tuple[str, str]] = set()
     for e in g.edges:
-        if e.src not in seen:
+        if e.src not in owners:
             out.append(f"edge ({e.src!r}, {e.dst!r}): unknown source vertex")
             continue
-        if e.dst not in seen:
+        if e.dst not in owners:
             out.append(f"edge ({e.src!r}, {e.dst!r}): unknown target vertex")
         if (e.src, e.dst) in seen_edges:
             out.append(f"duplicate edge ({e.src!r}, {e.dst!r})")
         seen_edges.add((e.src, e.dst))
-        if by_id[e.src].owner is Owner.RANDOM:
+        if owners[e.src] is Owner.RANDOM:
             if e.prob is None:
                 out.append(f"edge ({e.src!r}, {e.dst!r}): Random edge missing prob")
             else:
@@ -206,17 +206,14 @@ def validate_game(g: GameGraph) -> list[str]:
         if not row:
             out.append(f"vertex {v.id!r}: no outgoing edge")
         elif v.owner is Owner.RANDOM and all(e.prob is not None for e in row):
-            total, lcm = _row_total([e.prob.as_integer_ratio() for e in row])
+            # the row's sum over the lcm of its denominators
+            ratios = [e.prob.as_integer_ratio() for e in row]
+            lcm = math.lcm(*[den for _, den in ratios])
+            total = sum([num * (lcm // den) for num, den in ratios])
             if total != lcm:
                 total = Fraction(total, lcm)
                 out.append(f"vertex {v.id!r}: probability row sum {total} != 1")
     return out
-
-
-def _row_total(ratios: list[tuple[int, int]]) -> tuple[int, int]:
-    """A row's sum over the lcm of its denominators, as (numerator, lcm)."""
-    lcm = math.lcm(*[den for _, den in ratios])
-    return sum([num * (lcm // den) for num, den in ratios]), lcm
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +271,10 @@ def _check_unambiguous(name: str, what: str) -> None:
 def parse_game(text: Union[bytes, str]) -> GameGraph:
     """Parse and validate a game file; raise on syntax or invariant violations.
 
-    The invariants of `validate_game` are checked in the same pass that
-    reads the rows, in integers; only a game that breaks one goes through
-    `validate_game`, which words every violation.
+    The rows are read as the format demands (keys, types, ids and
+    "num/den" rationals, each fault a `GameFormatError`); the game they
+    make is then checked by `validate_game`, and any violation it words
+    is raised as a `GameValidationError`.
     """
     obj = _decode(text, "game file")
     _require_keys(obj, {"name", "vertices", "edges"}, {"vertices", "edges"}, "game file")
@@ -288,8 +286,6 @@ def parse_game(text: Union[bytes, str]) -> GameGraph:
 
     # a row's `where` is written out only for its error
     vertices = []
-    owners: dict[str, Owner] = {}
-    sound = True  # no invariant broken so far
     for i, item in enumerate(obj["vertices"]):
         if not isinstance(item, dict):
             raise GameFormatError(f"vertices[{i}]: expected an object")
@@ -305,14 +301,8 @@ def parse_game(text: Union[bytes, str]) -> GameGraph:
         # JSON gives exact types, so this is "an int and not a bool"
         if type(pri) is not int:
             raise GameFormatError(f"vertices[{i}]: priority must be an integer")
-        owners[vid] = owner = _OWNER_NAMES[owner]
-        vertices.append(Vertex(vid, owner, pri))
-        if pri < 0:
-            sound = False
+        vertices.append(Vertex(vid, _OWNER_NAMES[owner], pri))
 
-    # each Random vertex's row, as (numerator, denominator) pairs
-    rows: dict[str, list] = {v: [] for v, o in owners.items() if o is Owner.RANDOM}
-    pairs = set()
     edges = []
     for i, item in enumerate(obj["edges"]):
         if not isinstance(item, dict):
@@ -323,31 +313,15 @@ def parse_game(text: Union[bytes, str]) -> GameGraph:
         src, dst = item["from"], item["to"]
         if not isinstance(src, str) or not isinstance(dst, str):
             raise GameFormatError(f"edges[{i}]: from/to must be strings")
+        prob = None
         if "prob" in item:
-            num, den = _ratio(item["prob"], f"edges[{i}].prob")
-            prob = Fraction(num, den)
-            # a prob off a Random row, or outside (0, 1]
-            if src not in rows or not 0 < num <= den:
-                sound = False
-            else:
-                rows[src].append((num, den))
-        else:
-            prob = None
-            if src in rows:  # a Random edge missing its prob
-                sound = False
-        pairs.add((src, dst))
+            prob = Fraction(*_ratio(item["prob"], f"edges[{i}].prob"))
         edges.append(Edge(src, dst, prob))
 
     g = GameGraph(name, tuple(vertices), tuple(edges))
-    if not (
-        sound
-        and len(owners) == len(vertices)  # no duplicate id
-        and len(pairs) == len(edges)  # no duplicate edge
-        and {src for src, _ in pairs} == owners.keys()  # known sources, no dead end
-        and owners.keys() >= {dst for _, dst in pairs}  # known targets
-        and all(total == lcm for total, lcm in map(_row_total, rows.values()))
-    ):
-        raise GameValidationError(validate_game(g))
+    violations = validate_game(g)
+    if violations:
+        raise GameValidationError(violations)
     return g
 
 

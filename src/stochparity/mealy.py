@@ -82,11 +82,9 @@ def validate_strategy(g: GameGraph, s: MealyStrategy) -> list[str]:
     The update function must be total on memory x vertices with targets
     in the memory set; the action function must be defined exactly on
     memory x (vertices owned by the player) and every move must follow
-    an existing edge. A strategy that fits is found so by set operations
-    alone; the row-by-row pass below only words what is wrong.
+    an existing edge. Returns every violation, table by table and row
+    by row; an empty list means the strategy fits.
     """
-    if _fits(g, s):
-        return []
     out: list[str] = []
     if s.player not in (Owner.MAX, Owner.MIN):
         out.append(f"player must be max or min, got {s.player!r}")
@@ -99,53 +97,30 @@ def validate_strategy(g: GameGraph, s: MealyStrategy) -> list[str]:
         out.append(f"initial memory {s.initial!r} not among memory states")
 
     owned = set(g.owned_by(s.player)) if s.player in (Owner.MAX, Owner.MIN) else set()
-    vids = set(g.vertex_ids)
-    for m in s.memory_states:
-        for v in g.vertex_ids:
-            if (m, v) not in s.update:
-                out.append(f"update missing for memory {m!r} at vertex {v!r}")
-    for (m, v), nxt in s.update.items():
+    vids, succ, update, action = g.by_id, g.successors, s.update, s.action
+    for m, v in itertools.filterfalse(
+        update.__contains__, itertools.product(s.memory_states, g.vertex_ids)
+    ):
+        out.append(f"update missing for memory {m!r} at vertex {v!r}")
+    for (m, v), nxt in update.items():
         if m not in mems:
             out.append(f"update row uses unknown memory {m!r}")
         if v not in vids:
             out.append(f"update row uses unknown vertex {v!r}")
         if nxt not in mems:
             out.append(f"update target {nxt!r} is not a memory state")
-    for m in s.memory_states:
-        for v in sorted(owned):
-            if (m, v) not in s.action:
-                out.append(f"action missing for memory {m!r} at vertex {v!r}")
-    for (m, v), w in s.action.items():
+    for m, v in itertools.filterfalse(
+        action.__contains__, itertools.product(s.memory_states, sorted(owned))
+    ):
+        out.append(f"action missing for memory {m!r} at vertex {v!r}")
+    for (m, v), w in action.items():
         if m not in mems:
             out.append(f"action row uses unknown memory {m!r}")
         if v not in owned:
             out.append(f"action row at vertex {v!r} not owned by {s.player.value}")
-        elif not g.has_edge(v, w):
+        elif w not in succ[v]:
             out.append(f"action ({m!r}, {v!r}) -> {w!r} is not an edge")
     return out
-
-
-def _fits(g: GameGraph, s: MealyStrategy) -> bool:
-    """True iff `validate_strategy` finds nothing wrong with s on g."""
-    player, update, action = s.player, s.update, s.action
-    # by identity, as `owned_by` matches owners
-    if player is not Owner.MAX and player is not Owner.MIN:
-        return False
-    mems = set(s.memory_states)
-    if not mems or len(mems) != len(s.memory_states) or s.initial not in mems:
-        return False
-    # distinct keys within mems x places, as many as it has, are all of it
-    succ, owned = g.successors, g.owned_by(player)
-    if len(update) != len(mems) * len(succ) or len(action) != len(mems) * len(owned):
-        return False
-    update_mems, places = zip(*update) if update else ((), ())
-    owned = set(owned)
-    return (
-        mems.issuperset(update_mems)
-        and succ.keys() >= set(places)
-        and mems.issuperset(update.values())
-        and all(m in mems and v in owned and w in succ[v] for (m, v), w in action.items())
-    )
 
 
 def memoryless(g: GameGraph, player: Owner, moves: Mapping[str, str]) -> MealyStrategy:

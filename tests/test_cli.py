@@ -541,6 +541,29 @@ class TestVerifyRepairBranches:
             "PASS resets-settle",
         ]
 
+    def test_reset_optimality_names_the_first_failing_candidate(
+        self, files, capsys, monkeypatch
+    ):
+        # G1's three candidates: the first falls short at w, the second at
+        # a, the third not at all
+        real = cli.lower_value
+        short_at = iter(["w", "a"])
+
+        def short(g, sigma, cap, quality=None):
+            lo = real(g, sigma, cap, quality=quality)
+            v = next(short_at, None)
+            return lo if v is None else {**lo, v: lo[v] - Fraction(1, 2)}
+
+        monkeypatch.setattr(cli, "lower_value", short)
+        code, out, _ = run(capsys, "verify", files["g1"])
+        assert code == 1
+        assert out.splitlines() == [
+            *self.PASSED,
+            "FAIL reset-optimality: from w: reset strategy guarantees 1/2, value is 1/1",
+            "PASS resets-settle",
+        ]
+        assert next(short_at, None) is None  # both shortfalls were handed out
+
     def test_resets_settle_detail(self, files, capsys, monkeypatch):
         # every chain reported as one recurrent class, reset pairs included
         real = cli.product_chain

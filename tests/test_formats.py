@@ -454,6 +454,46 @@ class TestValidators:
             parse_game(text)
         assert got.value.violations == ["edge ('r', 'r'): Random edge missing prob"]
 
+    @pytest.mark.parametrize(
+        "owners,probs",
+        [
+            # the Random copy first, so the controlled one is the id's owner
+            ((Owner.RANDOM, Owner.MAX), ((1, 2), (1, 2))),
+            ((Owner.RANDOM, Owner.MIN), ((1, 2), (2, 3))),
+            # the Random copy last, so it owns the edges
+            ((Owner.MAX, Owner.RANDOM), ((1, 2), (1, 2))),
+            ((Owner.MIN, Owner.RANDOM), ((1, 3), (1, 3))),
+            ((Owner.MAX, Owner.RANDOM), ((1, 2), None)),
+            ((Owner.RANDOM, Owner.MAX), ((1, 2), None)),
+            ((Owner.RANDOM, Owner.RANDOM), ((1, 4), (5, 4))),
+        ],
+    )
+    def test_duplicate_id_with_two_owners(self, owners, probs):
+        # an id listed twice: each copy's row check reads its own owner, the
+        # edge checks the owner of the copy listed last, as `by_id` does
+        vertices = [("r", owners[0], 0), ("a", Owner.MAX, 0), ("r", owners[1], 1),
+                    ("b", Owner.MIN, 1)]
+        edges = [("r", t, q) for t, q in zip("ab", probs)] + [("a", "a", None),
+                                                             ("b", "b", None)]
+        graph = GameGraph(
+            "",
+            tuple(Vertex(*v) for v in vertices),
+            tuple(Edge(s, t, q and Fraction(*q)) for s, t, q in edges),
+        )
+        assert graph.by_id["r"].owner is owners[1]
+        text = json.dumps({
+            "vertices": [{"id": v, "owner": o.value, "priority": p} for v, o, p in vertices],
+            "edges": [
+                {"from": s, "to": t, **({"prob": "%d/%d" % q} if q else {})}
+                for s, t, q in edges
+            ],
+        })
+        with pytest.raises(GameValidationError) as got:
+            parse_game(text)
+        want = reference_validate_game(graph)
+        assert "duplicate vertex id 'r'" in want
+        assert got.value.violations == validate_game(graph) == want
+
     def test_exact_sums(self):
         # each row sums to 1 exactly, though not in floating point or in
         # 64-bit integers
