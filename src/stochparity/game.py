@@ -201,18 +201,19 @@ def validate_game(g: GameGraph) -> list[str]:
         elif e.prob is not None:
             out.append(f"edge ({e.src!r}, {e.dst!r}): prob on a controlled edge")
 
-    for v in g.vertices:
-        row = g.out_edges[v.id]
+    # each id's row once, against the owner its edges were checked with
+    for vid, owner in owners.items():
+        row = g.out_edges[vid]
         if not row:
-            out.append(f"vertex {v.id!r}: no outgoing edge")
-        elif v.owner is Owner.RANDOM and all(e.prob is not None for e in row):
+            out.append(f"vertex {vid!r}: no outgoing edge")
+        elif owner is Owner.RANDOM and all(e.prob is not None for e in row):
             # the row's sum over the lcm of its denominators
             ratios = [e.prob.as_integer_ratio() for e in row]
             lcm = math.lcm(*[den for _, den in ratios])
             total = sum([num * (lcm // den) for num, den in ratios])
             if total != lcm:
                 total = Fraction(total, lcm)
-                out.append(f"vertex {v.id!r}: probability row sum {total} != 1")
+                out.append(f"vertex {vid!r}: probability row sum {total} != 1")
     return out
 
 

@@ -19,8 +19,11 @@ import stochparity.resets as resets
 from stochparity import (
     Edge,
     GameGraph,
+    MealyStrategy,
     Owner,
+    Vertex,
     check_value_equations,
+    dual_game,
     enumerate_memoryless,
     is_consistent,
     memoryless,
@@ -31,6 +34,7 @@ from stochparity import (
     prune_superfluous,
     random_game,
     serialize_game,
+    serialize_solution,
     serialize_strategy,
     solve_game,
     stubborn_strategy,
@@ -585,6 +589,118 @@ class TestVerifyRepairBranches:
         ]
 
 
+def detour_game():
+    """Max at a may stay on its odd loop or go to the winning w: both edges
+    keep a's value 1, so pruning keeps both."""
+    return GameGraph(
+        "detour",
+        (Vertex("a", Owner.MAX, 1), Vertex("w", Owner.MAX, 0)),
+        (Edge("a", "a"), Edge("a", "w"), Edge("w", "w")),
+    )
+
+
+class TestVerifyCertifiesWithWitnesses:
+    """prune-preserves-values reads the solver's witnesses on the pruned game."""
+
+    def test_each_command_solves_at_most_once(self, capsys, monkeypatch, tmp_path):
+        solved = []
+        real = cli.solve_game
+
+        def recording(g, cap):
+            solved.append(g)
+            return real(g, cap)
+
+        monkeypatch.setattr(cli, "solve_game", recording)
+        for g in (fx.g1(), fx.g2(), fx.g3()):
+            sol = real(g)
+
+            def write(name, text):
+                path = tmp_path / f"{g.name}-{name}.json"
+                path.write_text(text)
+                return str(path)
+
+            game = write("game", serialize_game(g))
+            solution = write("solution", serialize_solution(sol))
+            sigma = write("sigma", serialize_strategy(sol.sigma_star))
+            tau = write("tau", serialize_strategy(sol.tau_star))
+            play = (sigma, tau, "--start", g.vertex_ids[0], "--samples", "10")
+            argvs = {
+                "solve": ("solve", game),
+                "check": ("check", game, solution),
+                "prune": ("prune", game),
+                "verify": ("verify", game),
+                "quality": ("quality", game, sigma),
+                "lower-value": ("lower-value", game, sigma),
+                "deviation-prob": ("deviation-prob", game, sigma, tau, "--start", "w"),
+                "reset": ("reset", game, sigma),
+                "simulate": ("simulate", game, *play),
+                "simulate --deviations": ("simulate", game, *play, "--deviations"),
+                "gen": ("gen", "--seed", "1"),
+            }
+            assert {argv[0] for argv in argvs.values()} == set(COMMANDS)
+            calls = {}
+            for key, argv in argvs.items():
+                solved.clear()
+                assert run(capsys, *argv)[0] == 0, (g.name, argv)
+                calls[key] = len(solved)
+            assert max(calls.values()) == 1 and calls["verify"] == 1, (g.name, calls)
+
+    @pytest.mark.parametrize(
+        "game, player, first, later",
+        [
+            # a -> l loses a's value 1, so pruning removes it
+            (fx.g1, Owner.MAX, {"a": "l", "w": "w", "l": "l"}, None),
+            # in the dual, a -> l concedes 1 where a's value is 0
+            (lambda: dual_game(fx.g1()), Owner.MIN, {"a": "l", "w": "w", "l": "l"}, None),
+            # a -> a is kept, but staying on the odd loop wins nothing, and
+            # in the dual it concedes 1
+            (detour_game, Owner.MAX, {"a": "a", "w": "w"}, None),
+            (lambda: dual_game(detour_game()), Owner.MIN, {"a": "a", "w": "w"}, None),
+            # the values hold: a -> w is played at the initial memory, and
+            # a -> l only at the later one, which no play reaches at a (no
+            # edge enters a); still a -> l is not an edge of the pruned game
+            (fx.g1, Owner.MAX, {"a": "w", "w": "w", "l": "l"}, {"a": "l", "w": "w", "l": "l"}),
+            (lambda: dual_game(fx.g1()), Owner.MIN, {"a": "w", "w": "w", "l": "l"},
+             {"a": "l", "w": "w", "l": "l"}),
+        ],
+        ids=[
+            "sigma-on-pruned-edge", "tau-on-pruned-edge", "sigma-short-of-values",
+            "tau-short-of-values", "sigma-pruned-edge-unreached",
+            "tau-pruned-edge-unreached",
+        ],
+    )
+    def test_witness_that_does_not_certify_fails(
+        self, capsys, monkeypatch, tmp_path, game, player, first, later
+    ):
+        # the true values, with one witness swapped for a poor one; a second
+        # solve of the pruned game would find the same values and pass
+        g = game()
+        sol = solve_game(g)
+        if later is None:
+            poor = memoryless(g, player, first)
+        else:  # m0 moves to m1 at its first step
+            mems = ("m0", "m1")
+            poor = MealyStrategy(
+                player, mems, "m0",
+                {(m, v): "m1" for m in mems for v in g.vertex_ids},
+                {**{("m0", v): w for v, w in first.items()},
+                 **{("m1", v): w for v, w in later.items()}},
+            )
+        witness = "sigma_star" if player is Owner.MAX else "tau_star"
+        monkeypatch.setattr(
+            cli, "solve_game", lambda g, cap: dataclasses.replace(sol, **{witness: poor})
+        )
+        path = tmp_path / "g.json"
+        path.write_text(serialize_game(g))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            "PASS value-equations",
+            "PASS determinacy",
+            "FAIL prune-preserves-values: pruned game solves to different values",
+        ]
+
+
 class TestQualityAndLowerValue:
     def test_quality_lines(self, files, capsys):
         code, out, _ = run(capsys, "quality", files["g3"], files["sigma3"])
@@ -605,6 +721,13 @@ class TestQualityAndLowerValue:
         code, _, err = run(capsys, "lower-value", files["g3"], files["tau3"])
         assert code == 2
         assert "max strategy" in err
+
+    def test_strategy_that_does_not_fit_rejected(self, files, capsys):
+        # sigma3 is a G3 strategy: it has no rows for G1's vertices
+        code, out, err = run(capsys, "quality", files["g1"], files["sigma3"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {files['sigma3']}: ")
+        assert "update row uses unknown vertex 's'" in err
 
 
 class TestDeviationProb:
@@ -1230,8 +1353,13 @@ class TestParserEscapes:
             _long_digits_game("prob"),
             '{"vertices": [{"id": "a", "owner": ["max"], "priority": 0}], '
             '"edges": [{"from": "a", "to": "a"}]}',
+            '{"vertices": {"a": "max"}, "edges": []}',
+            '{"vertices": [], "edges": "a->a"}',
         ],
-        ids=["deep-nesting", "long-integer", "long-prob", "list-owner"],
+        ids=[
+            "deep-nesting", "long-integer", "long-prob", "list-owner",
+            "object-vertices", "string-edges",
+        ],
     )
     def test_game_file_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "game.json"

@@ -201,14 +201,14 @@ def reference_validate_game(g: GameGraph) -> list[str]:
                 out.append(f"edge ({e.src!r}, {e.dst!r}): prob {e.prob} outside (0, 1]")
         elif e.prob is not None:
             out.append(f"edge ({e.src!r}, {e.dst!r}): prob on a controlled edge")
-    for v in g.vertices:
-        row = g.out_edges[v.id]
+    for vid, v in g.by_id.items():
+        row = g.out_edges[vid]
         if not row:
-            out.append(f"vertex {v.id!r}: no outgoing edge")
+            out.append(f"vertex {vid!r}: no outgoing edge")
         elif v.owner is Owner.RANDOM and all(e.prob is not None for e in row):
             total = sum(e.prob for e in row)
             if total != 1:
-                out.append(f"vertex {v.id!r}: probability row sum {total} != 1")
+                out.append(f"vertex {vid!r}: probability row sum {total} != 1")
     return out
 
 
@@ -469,8 +469,8 @@ class TestValidators:
         ],
     )
     def test_duplicate_id_with_two_owners(self, owners, probs):
-        # an id listed twice: each copy's row check reads its own owner, the
-        # edge checks the owner of the copy listed last, as `by_id` does
+        # an id listed twice: its edges and its row are checked once, against
+        # the owner of the copy listed last, as `by_id` keeps it
         vertices = [("r", owners[0], 0), ("a", Owner.MAX, 0), ("r", owners[1], 1),
                     ("b", Owner.MIN, 1)]
         edges = [("r", t, q) for t, q in zip("ab", probs)] + [("a", "a", None),

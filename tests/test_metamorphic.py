@@ -2,9 +2,11 @@
 
 Each relation changes a game in a way whose effect on the values is
 known from the objective alone, so it checks `solve_game` without a
-second solver: shifting priorities by 2 keeps every parity, renaming in
-order keeps the enumeration order, an unreachable vertex cannot reach
-the old ones, and the dual game swaps the players' roles.
+second solver: shifting priorities by 2 keeps every parity, and so does
+compressing them in order; renaming in order keeps the enumeration
+order; an unreachable vertex cannot reach the old ones; a Random edge
+split through a vertex of top priority changes the least priority of no
+cycle; and the dual game swaps the players' roles.
 """
 
 from __future__ import annotations
@@ -76,6 +78,49 @@ def test_priority_shift_by_two_keeps_the_solution_file(solved):
     for g, sol in solved:
         shifted = solve_game(relabel(g, same, shift=2))
         assert serialize_solution(shifted) == serialize_solution(sol)
+
+
+def compressed(priorities: set[int]) -> dict[int, int]:
+    """Each priority renumbered in increasing order, from the least one's
+    parity up, one step wherever the parity changes: 0, 2, 3, 5 -> 0, 0, 1, 1."""
+    out: dict[int, int] = {}
+    for p in sorted(priorities):
+        last = out[max(out)] if out else p % 2
+        out[p] = last if (last - p) % 2 == 0 else last + 1
+    return out
+
+
+def test_priority_compression_keeps_the_solution_file(solved):
+    changed = 0
+    for g, sol in solved:
+        new = compressed({v.priority for v in g.vertices})
+        changed += any(p != q for p, q in new.items())
+        squeezed = GameGraph(
+            g.name,
+            tuple(Vertex(v.id, v.owner, new[v.priority]) for v in g.vertices),
+            g.edges,
+        )
+        assert serialize_solution(solve_game(squeezed)) == serialize_solution(sol)
+    assert compressed({0, 2, 3, 5}) == {0: 0, 2: 0, 3: 1, 5: 1}
+    assert compressed({1, 2, 4}) == {1: 1, 2: 2, 4: 2}
+    assert changed == 48  # the rest use every priority 0-3 or 1-3 already
+
+
+def test_split_random_edge_keeps_the_old_values(solved):
+    rng = random.Random(7)
+    for g, sol in solved:
+        # r -> w becomes r -> x -> w, with x's priority at least every other,
+        # so every cycle through x keeps the least priority of r's
+        cut = rng.choice([e for e in g.edges if e.prob is not None])
+        top = max(v.priority for v in g.vertices) + rng.randint(0, 1)
+        split = GameGraph(
+            g.name,
+            g.vertices + (Vertex("x", Owner.RANDOM, top),),
+            tuple(e for e in g.edges if e != cut)
+            + (Edge(cut.src, "x", cut.prob), Edge("x", cut.dst, Fraction(1))),
+        )
+        got = solve_game(split).values
+        assert {v: got[v] for v in g.vertex_ids} == sol.values
 
 
 def test_order_preserving_renaming(solved):

@@ -57,6 +57,10 @@ class TestStream:
         key = stream(-1, 0).bit_generator.state["state"]["key"]
         assert list(key) == [2**64 - 1, 0]
 
+    def test_negative_worker_index_rejected(self):
+        with pytest.raises(ValueError, match="worker_index"):
+            stream(9, -1)
+
     def test_workers_get_distinct_streams(self):
         a = stream(9, 0).integers(0, 2**32, size=8)
         b = stream(9, 1).integers(0, 2**32, size=8)

@@ -228,6 +228,10 @@ class TestSolutionFiles:
         data["values"]["r"] = "0.5"
         with pytest.raises(GameFormatError):
             parse_solution(json.dumps(data))
+        data = json.loads(serialize_solution(sol2))
+        data["values"] = [["r", "1/2"]]
+        with pytest.raises(GameFormatError, match="values must be an object"):
+            parse_solution(json.dumps(data))
 
 
 def reference_serialize_solution(sol):
