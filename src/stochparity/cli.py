@@ -207,6 +207,26 @@ def _verify_candidates(
     return [with_gap(star, star_quality), *itertools.islice(fit, 8)]
 
 
+def _uncertified(
+    pruned: GameGraph, sol: Solution, star_quality: QualityTable, cap: int
+) -> str:
+    # witnesses that fit the pruned game certify its values from both sides,
+    # lower(sigma*) <= val <= upper(tau*); pruning only removes strategies,
+    # so solve_game's check of g's pairs bounds both tables; "" if they do
+    for name, s in (("sigma_star", sol.sigma_star), ("tau_star", sol.tau_star)):
+        for line in validate_strategy(pruned, s):
+            return f"{name}: {line}"
+    lower = {v: star_quality[v, sol.sigma_star.initial] for v in pruned.vertex_ids}
+    upper = upper_value(pruned, sol.tau_star, cap)
+    sides = ("sigma_star", "guarantees", lower), ("tau_star", "concedes", upper)
+    for name, verb, got in sides:
+        for v in pruned.vertex_ids:
+            if got[v] != sol.values[v]:
+                val, want = format_rational(got[v]), format_rational(sol.values[v])
+                return f"{name} from {v}: {verb} {val}, value is {want}"
+    return ""
+
+
 def cmd_verify(args) -> int:
     g = _load_game(args.game)
     failures: list = []
@@ -231,19 +251,9 @@ def cmd_verify(args) -> int:
             _report(name, False, "not run: value-equations failed", failures)
     else:
         pruned = prune_superfluous(g, sol.values)
-        # witnesses that fit the pruned game certify its values from both
-        # sides, lower(sigma*) <= val <= upper(tau*); pruning only removes
-        # strategies, so solve_game's check of g's pairs bounds both tables
-        star = sol.sigma_star
-        star_quality = quality_table(pruned, star, args.cap)
-        lower = {v: star_quality[v, star.initial] for v in pruned.vertex_ids}
-        _report(
-            "prune-preserves-values",
-            not validate_strategy(pruned, star) + validate_strategy(pruned, sol.tau_star)
-            and lower == sol.values == upper_value(pruned, sol.tau_star, args.cap),
-            "pruned game solves to different values",
-            failures,
-        )
+        star_quality = quality_table(pruned, sol.sigma_star, args.cap)
+        detail = _uncertified(pruned, sol, star_quality, args.cap)
+        _report("prune-preserves-values", not detail, detail, failures)
         # every controlled edge keeping the value and every Random row
         # averaging it is exactly a one-step martingale under every pair
         consistent = is_consistent(pruned, sol.values)
@@ -517,9 +527,10 @@ _COMMANDS = {
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser for every command, or for `command` alone, cached per command.
 
-    `main` looks the handler up in `_COMMANDS` on each call. The one-command
-    parser lists every command in its metavar, so the top-level usage line
-    in its errors reads as the full parser's.
+    `main` looks the handler up in `_COMMANDS` on each call, and reads a
+    command's arguments with its own parser, kept in `command_parsers`. The
+    one-command parser lists every command in its metavar, so the top-level
+    usage line in its errors reads as the full parser's.
     """
     top = argparse.ArgumentParser(
         prog="stochparity",
@@ -529,9 +540,10 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # on the full parser a metavar would rename "argument command" in its errors
     meta = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
     sub = top.add_subparsers(dest="command", required=True, **meta)
+    top.command_parsers = {}
     for name in _COMMANDS if command is None else [command]:
         _, help_, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
+        p = top.command_parsers[name] = sub.add_parser(name, help=help_)
         p.add_argument("--cap", **_POSITIVE, default=2**20, help="enumeration cap")
         for arg, kw in arguments.items():
             p.add_argument(arg, **kw)
@@ -541,7 +553,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    top = _build_parser(command)
+    if command is None:
+        args = top.parse_args(argv)
+    else:  # the rest of argv, read as the full parser's subparser action reads it
+        args, extras = top.command_parsers[command].parse_known_args(argv[1:])
+        if extras:
+            top.error("unrecognized arguments: " + " ".join(extras))
+        args.command = command
     try:
         return _COMMANDS[args.command][0](args)
     except (StochparityError, OSError) as exc:

@@ -105,7 +105,15 @@ def check_value_equations(g: GameGraph, vals: ValueMap) -> list[str]:
         elif owner is Owner.MIN:
             expect = min(vals[w] for w in g.successors[v])
         else:
-            expect = sum((p * vals[w] for w, p in g.distribution[v]), Fraction(0))
+            # an unreduced n/d: one integer identity, a Fraction for messages only
+            n, d, x = 0, 1, vals[v]
+            for w, p in g.distribution[v]:
+                y = vals[w]
+                q = p.denominator * y.denominator
+                n, d = n * q + d * p.numerator * y.numerator, d * q
+            if n * x.denominator == x.numerator * d:
+                continue
+            expect = Fraction(n, d)
         if vals[v] != expect:
             out.append(
                 f"value equation fails at {v!r}: stored {vals[v]}, "

@@ -6,8 +6,11 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -450,7 +453,7 @@ class TestVerifyPrintsEveryLine:
         assert out.splitlines() == [
             "PASS value-equations",
             "PASS determinacy",
-            "FAIL prune-preserves-values: pruned game solves to different values",
+            "FAIL prune-preserves-values: sigma_star from r: guarantees 1/4, value is 1/2",
             "PASS pruned-consistent",
             "FAIL one-step-martingale: value equation fails at 'r': stored 1/2, "
             "successors give 1/4",
@@ -646,22 +649,28 @@ class TestVerifyCertifiesWithWitnesses:
             assert max(calls.values()) == 1 and calls["verify"] == 1, (g.name, calls)
 
     @pytest.mark.parametrize(
-        "game, player, first, later",
+        "game, player, first, later, detail",
         [
             # a -> l loses a's value 1, so pruning removes it
-            (fx.g1, Owner.MAX, {"a": "l", "w": "w", "l": "l"}, None),
+            (fx.g1, Owner.MAX, {"a": "l", "w": "w", "l": "l"}, None,
+             "sigma_star: action ('m0', 'a') -> 'l' is not an edge"),
             # in the dual, a -> l concedes 1 where a's value is 0
-            (lambda: dual_game(fx.g1()), Owner.MIN, {"a": "l", "w": "w", "l": "l"}, None),
+            (lambda: dual_game(fx.g1()), Owner.MIN, {"a": "l", "w": "w", "l": "l"}, None,
+             "tau_star: action ('m0', 'a') -> 'l' is not an edge"),
             # a -> a is kept, but staying on the odd loop wins nothing, and
             # in the dual it concedes 1
-            (detour_game, Owner.MAX, {"a": "a", "w": "w"}, None),
-            (lambda: dual_game(detour_game()), Owner.MIN, {"a": "a", "w": "w"}, None),
+            (detour_game, Owner.MAX, {"a": "a", "w": "w"}, None,
+             "sigma_star from a: guarantees 0/1, value is 1/1"),
+            (lambda: dual_game(detour_game()), Owner.MIN, {"a": "a", "w": "w"}, None,
+             "tau_star from a: concedes 1/1, value is 0/1"),
             # the values hold: a -> w is played at the initial memory, and
             # a -> l only at the later one, which no play reaches at a (no
             # edge enters a); still a -> l is not an edge of the pruned game
-            (fx.g1, Owner.MAX, {"a": "w", "w": "w", "l": "l"}, {"a": "l", "w": "w", "l": "l"}),
+            (fx.g1, Owner.MAX, {"a": "w", "w": "w", "l": "l"}, {"a": "l", "w": "w", "l": "l"},
+             "sigma_star: action ('m1', 'a') -> 'l' is not an edge"),
             (lambda: dual_game(fx.g1()), Owner.MIN, {"a": "w", "w": "w", "l": "l"},
-             {"a": "l", "w": "w", "l": "l"}),
+             {"a": "l", "w": "w", "l": "l"},
+             "tau_star: action ('m1', 'a') -> 'l' is not an edge"),
         ],
         ids=[
             "sigma-on-pruned-edge", "tau-on-pruned-edge", "sigma-short-of-values",
@@ -670,7 +679,7 @@ class TestVerifyCertifiesWithWitnesses:
         ],
     )
     def test_witness_that_does_not_certify_fails(
-        self, capsys, monkeypatch, tmp_path, game, player, first, later
+        self, capsys, monkeypatch, tmp_path, game, player, first, later, detail
     ):
         # the true values, with one witness swapped for a poor one; a second
         # solve of the pruned game would find the same values and pass
@@ -697,7 +706,7 @@ class TestVerifyCertifiesWithWitnesses:
         assert out.splitlines()[:3] == [
             "PASS value-equations",
             "PASS determinacy",
-            "FAIL prune-preserves-values: pruned game solves to different values",
+            f"FAIL prune-preserves-values: {detail}",
         ]
 
 
@@ -998,6 +1007,131 @@ class TestGen:
         assert code == 2
 
 
+# the commands that write --out, each with its other arguments
+OUT_COMMANDS = {
+    "solve": lambda files: ["solve", files["g3"]],
+    "prune": lambda files: ["prune", files["g3"]],
+    "reset": lambda files: ["reset", files["g3"], files["sigma3"]],
+    "gen": lambda files: ["gen", "--seed", "1", "--vertices", "7"],
+}
+
+# runs main with the file size limit below the text's length, so the
+# write fails part-way; both settings act on this child process only
+SIZE_LIMITED_SCRIPT = """
+import resource, signal, sys
+from stochparity.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+# runs main in a child process, for targets that need a stdout of its own
+MAIN_SCRIPT = "import sys; from stochparity.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+class TestOutFiles:
+    """--out replaces a file's contents, and writes to devices, FIFOs and pipes."""
+
+    def write(self, files, capsys, command, path):
+        return run(capsys, *OUT_COMMANDS[command](files), "--out", str(path))
+
+    def fresh(self, files, capsys, tmp_path, command):
+        path = tmp_path / "fresh.json"
+        assert self.write(files, capsys, command, path)[0] == 0
+        return path.read_bytes()
+
+    def test_shorter_text_over_longer_file(self, files, capsys, tmp_path, command):
+        fresh = self.fresh(files, capsys, tmp_path, command)
+        path = tmp_path / "old.json"
+        path.write_bytes(b"x" * (2 * len(fresh) + 100))
+        assert self.write(files, capsys, command, path)[0] == 0
+        assert path.read_bytes() == fresh
+
+    def test_symlink_written_through(self, files, capsys, tmp_path, command):
+        fresh = self.fresh(files, capsys, tmp_path, command)
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * (2 * len(fresh)))
+        link.symlink_to(target)
+        assert self.write(files, capsys, command, link)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh
+
+    def test_existing_file_keeps_inode_and_mode(self, files, capsys, tmp_path, command):
+        path = tmp_path / "old.json"
+        path.write_bytes(b"x" * 10_000)
+        path.chmod(0o600)
+        before = path.stat()
+        assert self.write(files, capsys, command, path)[0] == 0
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+        assert after.st_size < before.st_size
+
+    def test_new_file_mode_follows_umask(self, files, capsys, tmp_path, command):
+        path = tmp_path / "new.json"
+        old = os.umask(0o002)
+        try:
+            assert self.write(files, capsys, command, path)[0] == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o002
+
+    def test_dev_null(self, files, capsys, command):
+        assert self.write(files, capsys, command, "/dev/null")[0] == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_dev_full(self, files, capsys, command):
+        assert self.write(files, capsys, command, "/dev/full") == (
+            2, "", "error: [Errno 28] No space left on device\n"
+        )
+
+    def test_directory(self, files, capsys, tmp_path, command):
+        assert self.write(files, capsys, command, tmp_path) == (
+            2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+
+    def test_fifo(self, files, capsys, tmp_path, command):
+        fresh = self.fresh(files, capsys, tmp_path, command)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code = self.write(files, capsys, command, fifo)[0]
+        reader.join(timeout=30)
+        assert (code, got) == (0, [fresh])
+
+    def test_stdout_pipe(self, files, capsys, tmp_path, command):
+        fresh = self.fresh(files, capsys, tmp_path, command)
+        child = subprocess.run(
+            [sys.executable, "-c", MAIN_SCRIPT,
+             *OUT_COMMANDS[command](files), "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout.startswith(fresh)
+
+    def test_failed_write_leaves_no_stale_tail(self, files, capsys, tmp_path, command):
+        fresh = self.fresh(files, capsys, tmp_path, command)
+        path = tmp_path / "old.json"
+        path.write_bytes(b"x" * (2 * len(fresh)))
+        limit = len(fresh) // 2
+        child = subprocess.run(
+            [sys.executable, "-c", SIZE_LIMITED_SCRIPT, str(limit),
+             *OUT_COMMANDS[command](files), "--out", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, "", "error: [Errno 27] File too large\n"
+        )
+        # the file was emptied before the write: it holds what fit of the new text
+        assert path.read_bytes() == fresh[:limit]
+
+
 class TestParserBasics:
     def test_no_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -1117,6 +1251,35 @@ PARSER_EXITS = [
 ]
 
 
+# argv lists that the one-command parser must read as the full parser does:
+# abbreviations, --opt=value, --, options before positionals, unknown
+# trailing arguments, bad values and -h after positionals
+ARGV_CORPUS = [
+    ["simulate", "g", "s", "t", "--start", "v", "--samp", "5"],
+    ["simulate", "g", "s", "t", "--de", "--start", "v", "--work", "2"],
+    ["solve", "g", "--c", "5"],
+    ["solve", "g", "--out=o"],
+    ["gen", "--seed=3", "--out=o", "--vert", "6"],
+    ["prune", "--", "g"],
+    ["solve", "g", "--", "--out"],
+    ["quality", "--decimal", "--cap", "3", "g", "s"],
+    ["reset", "--out", "o", "g", "s"],
+    ["check", "g", "s", "extra"],
+    ["check", "g", "s", "extra", "--zz"],
+    ["verify", "g", "--bogus=1"],
+    ["solve", "g", "--ver"],
+    ["solve", "g", "--cap", "0"],
+    ["reset", "g", "s", "--cap", "x"],
+    ["simulate", "g", "s", "t", "--start", "v", "--workers", "0"],
+    ["quality", "g", "s", "-h"],
+    ["gen", "--seed", "1", "-h"],
+    ["lower-value", "g", "s", "--decimal"],
+    ["deviation-prob", "g", "s", "t"],
+    ["gen", "--seed", "-3"],
+    ["reset", "g", "s", "--out"],
+]
+
+
 def parser_exit(capsys, parse, argv):
     with pytest.raises(SystemExit) as exc:
         parse(argv)
@@ -1130,6 +1293,27 @@ class TestOneCommandParser:
         full = parser_exit(capsys, lambda a: _build_parser().parse_args(a), argv)
         assert parser_exit(capsys, main, argv) == full
         assert full[1] or full[2]
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+    def test_reads_argv_as_full_parser(self, capsys, monkeypatch, argv):
+        parsed = []
+
+        def record(args):
+            parsed.append(args)
+            return 0
+
+        for name, (_, help_, arguments) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, (record, help_, arguments))
+        try:
+            full = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            full = exc.code, captured.out, captured.err
+        got = outcome(capsys, argv)
+        if isinstance(full, argparse.Namespace):
+            assert (got, parsed) == ((0, "", ""), [full])
+        else:
+            assert (got, parsed) == (full, [])
 
     def test_main_builds_only_the_named_command(self, files, capsys, monkeypatch):
         import stochparity.cli as cli

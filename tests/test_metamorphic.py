@@ -28,6 +28,7 @@ from stochparity import (
     solve_game,
 )
 from stochparity.mealy import count_memoryless
+from stochparity.values import check_value_equations
 
 PAIR_CAP = 2000
 # seeded `random_game(seed, n, 3, 3, f)`, kept at most PAIR_CAP pairs
@@ -159,3 +160,37 @@ def test_dual_game_complements_the_values(solved):
     for g, sol in solved:
         dual = solve_game(dual_game(g)).values
         assert dual == {v: 1 - x for v, x in sol.values.items()}
+
+
+def value_equations_by_fractions(g: GameGraph, vals) -> list[str]:
+    """check_value_equations with each Random row summed as Fractions."""
+    out = []
+    for v in g.vertex_ids:
+        if g.owner(v) is Owner.MAX:
+            expect = max(vals[w] for w in g.successors[v])
+        elif g.owner(v) is Owner.MIN:
+            expect = min(vals[w] for w in g.successors[v])
+        else:
+            expect = sum((p * vals[w] for w, p in g.distribution[v]), Fraction(0))
+        if vals[v] != expect:
+            out.append(
+                f"value equation fails at {v!r}: stored {vals[v]}, "
+                f"successors give {expect}"
+            )
+    return out
+
+
+def test_value_equations_match_the_fraction_sums(solved):
+    random_rows_failed = 0
+    for g, sol in solved:
+        assert check_value_equations(g, sol.values) == []
+        rows = tuple(f"value equation fails at {u!r}:" for u in g.owned_by(Owner.RANDOM))
+        # each value moved in turn, which can break its own row and its
+        # predecessors'
+        for v in g.vertex_ids:
+            for delta in (Fraction(1, 7), Fraction(-2, 3)):
+                vals = {**sol.values, v: sol.values[v] + delta}
+                got = check_value_equations(g, vals)
+                assert got == value_equations_by_fractions(g, vals)
+                random_rows_failed += sum(line.startswith(rows) for line in got)
+    assert random_rows_failed > 1000
