@@ -10,18 +10,21 @@ classify each bottom SCC, then solve the absorption system exactly,
 with integer rows and fraction-free elimination (`linalg`).
 
 One kernel object, `_Chain`, does both on the collapsed chain, and tips
-go to values on its one path. A forced state (its only positive edge has
-probability 1) stands for its tip: the first end on its forced path with
-the least priority on the way, or True or False for a path into a forced
-cycle, whether Max wins it. `lay` collapses a chain's forced moves
-(`_collapse`, the one exact routine that follows forced paths; the
-sampler walks its own, for their length and the vertices passed);
-branching states and states whose move is open stay ends. `evaluate`
-hops the open moves at those ends, keys the system by the tip of every
-branching row's edge, so moves into cycles of one parity share a solve,
-and solves once per key, by Tarjan over the branching states only, which
-alone enter the linear system. Strategy pairs, product policies, chain
-win probabilities and `_absorption` all take this path.
+go to values on its one path. Its forced map and integer branching rows
+are split from a transition dict or filled by `_ProductMdp` from the
+game's integer Random rows, both ways through one setup. A forced state
+(its only positive edge has probability 1) stands for its tip: the first
+end on its forced path with the least priority on the way, or True or
+False for a path into a forced cycle, whether Max wins it. `lay`
+collapses a chain's forced moves (`_collapse`, the one exact routine
+that follows forced paths; the sampler walks its own, for their length
+and the vertices passed); branching states and states whose move is open
+stay ends. `evaluate` hops the open moves at those ends, keys the system
+by the tip of every branching row's edge, so moves into cycles of one
+parity share a solve, and solves once per key: one Tarjan pass over the
+branching states, which alone enter the linear system, finds the classes
+and those that can reach a winning one. Strategy pairs, product
+policies, chain win probabilities and `_absorption` all take this path.
 
 Fixing only one player's strategy leaves a finite MDP over (vertex,
 memory) pairs. Parity MDPs admit optimal policies that are memoryless
@@ -53,7 +56,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceededError, DeterminacyError, IllegalPlayError, StrategyError
-from .game import GameGraph, Owner, _max_wins
+from .game import GameGraph, Owner, _integer_row, _max_wins
 from .linalg import solve_linear
 from .mealy import MealyStrategy
 
@@ -268,52 +271,39 @@ def _collapse(forced, label):
 def _branch_values(rows, key, label) -> dict:
     """Win probability of every branching state of a collapsed chain.
 
-    The chain is given as its branching `rows` and a `key` holding the
-    `_collapse` tip of every row edge, in row order, with (t, None) for
-    an edge into a branching state t. A forced cycle is decided by its
-    tip; a bottom class of branching states, found by Tarjan over the
-    branching states only, by the least priority over its members and
-    the forced paths of their edges. The branching states off the
-    winning classes that can reach one are the unknowns of the linear
-    system; each one's row is built in integers, times the lcm of its
-    probabilities' denominators.
+    The chain is given as its branching `rows`, each (targets,
+    denominator, numerators), and a `key` holding the `_collapse` tip of
+    every row edge, in row order, with (t, None) for an edge into a
+    branching state t. A forced cycle is decided by its tip; a bottom
+    class of branching states, found by Tarjan over them, by the least
+    priority over its members and the forced paths of their edges. Tarjan
+    yields a class after all it reaches, so the same pass marks those that
+    reach a winning one; their states off it are the system's unknowns.
     """
     tips = iter(key)
-    edges = {b: [next(tips) for _ in row] for b, row in rows.items()}
-    succ = {
-        b: [k if k is True or k is False else k[0] for k in ks] for b, ks in edges.items()
-    }
-    won = {True}
+    edges = {b: [next(tips) for _ in ts] for b, (ts, _, _) in rows.items()}
+    succ = {b: [k if k is True or k is False else k[0] for k in ks] for b, ks in edges.items()}
+    won, reach = {True}, {True}
     inner = {b: [e for e in es if e in rows] for b, es in succ.items()}
     for comp in map(set, _tarjan_sccs(list(rows), inner.__getitem__)):
-        if all(e in comp for b in comp for e in succ[b]):
+        out = [e for b in comp for e in succ[b] if e not in comp]
+        if not out:
             paths = [k[1] for b in comp for k in edges[b] if k[1] is not None]
             if _max_wins([label[b] for b in comp] + paths):
                 won.update(comp)
-
-    preds: dict = {}
-    for b, es in succ.items():
-        for e in es:
-            preds.setdefault(e, []).append(b)
-    reach = set(won)
-    queue = list(won)
-    while queue:
-        for b in preds.get(queue.pop(), ()):
-            if b not in reach:
-                reach.add(b)
-                queue.append(b)
+        if comp <= won or any(e in reach for e in out):
+            reach.update(comp)
 
     unknown = [b for b in rows if b in reach and b not in won]
     pos = {b: i for i, b in enumerate(unknown)}
     n = len(unknown)
     matrix, rhs = [], []
     for b in unknown:
-        scale = math.lcm(*(p.denominator for _, p in rows[b]))
+        _, scale, nums = rows[b]
         line = [0] * n
         line[pos[b]] = scale
         hit = 0
-        for e, (_, p) in zip(succ[b], rows[b]):
-            q = p.numerator * (scale // p.denominator)
+        for e, q in zip(succ[b], nums):
             if e in won:
                 hit += q
             elif e in pos:
@@ -330,30 +320,34 @@ class _Chain:
     """A chain split once into its forced map and branching rows.
 
     A state whose only positive edge has probability 1 is forced; every
-    other state in `transitions` is branching and keeps its positive
-    edges. States without a row get a move from `lay` or stay ends for
-    `evaluate` to hop over. Each system is solved once per key, and its
-    values are interned, so equal values from one object are one object.
+    other state in `transitions` is branching, its row the targets of its
+    positive edges and their `_integer_row`. States without a row get a
+    move from `lay` or stay ends for `evaluate` to hop over. `__init__` and
+    `_ProductMdp`, which reads the game's `random_rows`, share `setup`.
+    Each system is solved once per key; equal values are one object,
+    interned by (numerator, denominator).
     """
 
     def __init__(self, states, transitions: dict, label: dict):
-        self.states, self.label = states, label
-        self.forced: dict = {}
-        self.rows: dict = {}
+        forced, rows = {}, {}
         for s, row in transitions.items():
-            # `_ONE` by identity and zeros by numerator, before Fraction's
-            # Python-level comparison: forced rows carry `_ONE`
+            # forced rows carry `_ONE`: compared by identity, before Fraction's `!=`
             if len(row) != 1 or row[0][1] is not _ONE and row[0][1] != 1:
                 row = tuple(e for e in row if e[1].numerator)
                 if len(row) != 1 or row[0][1] != 1:
-                    self.rows[s] = row
+                    rows[s] = (tuple(t for t, _ in row), *_integer_row([p for _, p in row]))
                     continue
-            self.forced[s] = row[0][0]
+            forced[s] = row[0][0]
+        self.setup(states, label, forced, rows)
+
+    def setup(self, states, label: dict, forced: dict, rows: dict) -> _Chain:
+        self.states, self.label, self.forced, self.rows = states, label, forced, rows
         # each unforced state's tip: its own end
-        self.open = {s: (s, None) for s in states if s not in self.forced}
-        self.targets = [t for row in self.rows.values() for t, _ in row]
+        self.open = {s: (s, None) for s in states if s not in forced}
+        self.targets = [t for ts, _, _ in rows.values() for t in ts]
         self.solved: dict[tuple, dict] = {}
-        self.interned: dict = {_ZERO: _ZERO, _ONE: _ONE}
+        self.interned: dict = {(0, 1): _ZERO, (1, 1): _ONE}
+        return self
 
     def solve(self, key: tuple) -> dict:
         """The value at True, False and every branching state of the system
@@ -363,7 +357,7 @@ class _Chain:
             intern = self.interned.setdefault
             at = self.solved[key] = {True: _ONE, False: _ZERO}
             for b, x in _branch_values(self.rows, key, self.label).items():
-                at[b] = intern(x, x)
+                at[b] = intern(x.as_integer_ratio(), x)
         return at
 
     def lay(self, moves: Iterable[tuple]) -> dict:
@@ -510,22 +504,27 @@ class _ProductMdp:
         self.label = {(v, m): g.priority(v) for v, m in self.states}
         self.better = operator.gt if free_player is Owner.MAX else operator.lt
 
-        base: dict[tuple[str, str], tuple] = {}
-        self.choice_states: list[tuple[str, str]] = []
+        # the kernel's map and rows, as `_Chain` splits them; every non-free row from `_successors`
+        forced, rows, self.choice_states = {}, {}, []
         # (index, state, memory after) of each choice state a policy hops
         self.hops: list[tuple] = []
-        for v, m in self.states:
+        for s in self.states:
+            v, m = s
             m2 = fixed.step(m, v)
             if g.owner(v) is not free_player:
-                base[v, m] = tuple(((w, m2), p) for w, p in _successors(g, v, fixed, m))
+                row = _successors(g, v, fixed, m)
+                if len(row) == 1:  # a move, or a Random row of probability 1
+                    forced[s] = (row[0][0], m2)
+                else:
+                    rows[s] = (tuple([(w, m2) for w, _ in row]), *g.random_rows[v])
                 continue
             ws = g.successors[v]
             if len(ws) == 1:  # forced, as the fixed player's states are
-                base[v, m] = (((ws[0], m2), _ONE),)
+                forced[s] = (ws[0], m2)
             else:
-                self.hops.append((len(self.choice_states), (v, m), m2))
-            self.choice_states.append((v, m))
-        self.chain = _Chain(self.states, base, self.label)
+                self.hops.append((len(self.choice_states), s, m2))
+            self.choice_states.append(s)
+        self.chain = _Chain.__new__(_Chain).setup(self.states, self.label, forced, rows)
         self.pools = [g.successors[v] for v, _ in self.choice_states]
         self.tip = self.chain.lay(())
         self.row_tips = tuple(map(self.tip.__getitem__, self.chain.targets))

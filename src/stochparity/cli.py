@@ -369,11 +369,10 @@ def cmd_reset(args) -> int:
         raise InvalidThresholdError("m = inf: every value is zero, nothing to repair")
     pruned = prune_superfluous(g, sol.values)
     rs = reset_transform(pruned, sigma, sol.values, sol.m, args.cap)
-    # the transform's table is sigma's on g too when pruning removed nothing,
-    # and with no reset pairs the compiled machine is sigma itself
-    before = lower_value(
-        g, sigma, args.cap, quality=rs.quality if pruned == g else None
-    )
+    # a table with Min free reads Min's edges, Random rows and sigma's moves, so the transform's
+    # is sigma's on g too if pruning kept Min's edges; with no reset pairs the repair is sigma
+    kept = all(pruned.successors[v] == g.successors[v] for v in g.owned_by(Owner.MIN))
+    before = lower_value(g, sigma, args.cap, quality=rs.quality if kept else None)
     after = lower_value(g, rs.strategy, args.cap) if rs.reset_pairs else before
     # written before any line is printed, so a failed write prints nothing
     if args.out:

@@ -79,18 +79,40 @@ def format_rational(value: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
+# each field set by its slot's setter, faster than a frozen __init__'s object.__setattr__
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: str
     owner: Owner
     priority: int
 
+    def __init__(self, id: str, owner: Owner, priority: int):
+        _set_id(self, id)
+        _set_owner(self, owner)
+        _set_priority(self, priority)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str
     prob: Union[Fraction, None] = None
+
+    def __init__(self, src: str, dst: str, prob: Union[Fraction, None] = None):
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_prob(self, prob)
+
+
+_set_id, _set_owner, _set_priority, _set_src, _set_dst, _set_prob = (
+    getattr(c, f).__set__ for c in (Vertex, Edge) for f in c.__slots__)
+
+
+def _integer_row(probs: Iterable) -> tuple[int, tuple[int, ...]]:
+    """Exact probabilities as the lcm of their denominators and numerators over it."""
+    ratios = [p.as_integer_ratio() for p in probs]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, tuple([n * (den // d) for n, d in ratios])
 
 
 @dataclass(frozen=True)
@@ -139,6 +161,10 @@ class GameGraph:
             for v in self.vertices
             if v.owner is Owner.RANDOM
         }
+
+    @cached_property
+    def random_rows(self) -> dict[str, tuple[int, tuple[int, ...]]]:
+        return {v: _integer_row([p for _, p in row]) for v, row in self.distribution.items()}
 
     @cached_property
     def vertex_ids(self) -> tuple[str, ...]:
@@ -207,13 +233,9 @@ def validate_game(g: GameGraph) -> list[str]:
         if not row:
             out.append(f"vertex {vid!r}: no outgoing edge")
         elif owner is Owner.RANDOM and all(e.prob is not None for e in row):
-            # the row's sum over the lcm of its denominators
-            ratios = [e.prob.as_integer_ratio() for e in row]
-            lcm = math.lcm(*[den for _, den in ratios])
-            total = sum([num * (lcm // den) for num, den in ratios])
-            if total != lcm:
-                total = Fraction(total, lcm)
-                out.append(f"vertex {vid!r}: probability row sum {total} != 1")
+            den, nums = _integer_row([e.prob for e in row])
+            if sum(nums) != den:
+                out.append(f"vertex {vid!r}: probability row sum {Fraction(sum(nums), den)} != 1")
     return out
 
 

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Iterator, Union
 
 from .chains import Outcome, ProductChain, product_chain
 from .errors import SimulationError
-from .game import GameGraph, _max_wins
+from .game import GameGraph, _integer_row, _max_wins
 from .mealy import MealyStrategy
 from .resets import _deviation_chain, deviation_states
 from .values import ValueMap
@@ -154,13 +154,13 @@ class _Sampler:
             if i in self.absorbed or i in forced:
                 continue
             row = chain.transitions[s]
-            den = math.lcm(*(p.denominator for _, p in row))
+            den, nums = _integer_row([p for _, p in row])
             if den > _MAX_DEN:
                 raise SimulationError(
                     f"cannot sample Random vertex {s[0]!r}: the common denominator "
                     "of its probabilities exceeds 2^63"
                 )
-            cums = list(accumulate(p.numerator * (den // p.denominator) for _, p in row))
+            cums = list(accumulate(nums))
             assert cums[-1] == den
             self.rows[i] = (den, cums, [land(index[t], 1) for t, _ in row])
 

@@ -224,7 +224,7 @@ def solve_game(g: GameGraph, cap: int = 2**20) -> Solution:
 
     # every value is interned in `chain`, so one sort ranks them all and
     # the comparisons are of small integers
-    ordered = sorted(chain.interned)
+    ordered = sorted(chain.interned.values())
     rank = {id(x): i for i, x in enumerate(ordered)}
     for i, vals in enumerate(found):
         found[i] = tuple(map(rank.__getitem__, map(id, vals)))

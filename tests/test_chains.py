@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -20,6 +21,7 @@ from stochparity import (
     bsccs,
     chain_win_probability,
     classify_bscc,
+    dual_game,
     enumerate_memoryless,
     mdp_table,
     mdp_value,
@@ -983,3 +985,154 @@ class TestPolicyEvaluation:
                 policies += 1
             tables += 1
         assert tables >= 20 and policies > 1000
+
+
+def product_transitions(g, fixed, free, states):
+    """A one-player product written as a transition dict: every non-free
+    row from `_successors`, a free state with one move forced, and the
+    free states with a choice left without a row."""
+    trans = {}
+    for v, m in states:
+        m2 = fixed.step(m, v)
+        if g.owner(v) is not free:
+            trans[(v, m)] = tuple(((w, m2), p) for w, p in chains._successors(g, v, fixed, m))
+        elif len(g.successors[v]) == 1:
+            trans[(v, m)] = one((g.successors[v][0], m2))
+    return trans
+
+
+def counting_machines(g, pivot, k):
+    """(fixed, free player) for a k-memory counting machine of each player:
+    the first move until the k-th visit of the pivot, then the last."""
+    def stubborn(game, owner):
+        owned = game.owned_by(Owner.MAX)
+        first = {v: game.successors[v][0] for v in owned}
+        last = {v: game.successors[v][-1] for v in owned}
+        return dataclasses.replace(stubborn_strategy(game, first, last, pivot, k), player=owner)
+
+    return [(stubborn(g, Owner.MAX), Owner.MIN), (stubborn(dual_game(g), Owner.MIN), Owner.MAX)]
+
+
+class TestProductMdpSplit:
+    """`_ProductMdp` fills the kernel's forced map and rows itself; they
+    equal what `_Chain(states, transitions, label)` derives from the same
+    product written as a transition dict, the oracle."""
+
+    def test_matches_the_transition_dict_split(self):
+        rows = tables = 0
+        for seed in range(30):
+            g = random_game(seed, 4 + seed % 4, 3, 3, Fraction(1, 2 + seed % 2))
+            pivot = g.vertex_ids[seed % len(g.vertex_ids)]
+            for k in range(1, 5):
+                for fixed, free in counting_machines(g, pivot, k):
+                    mdp = chains._ProductMdp(g, fixed, free)
+                    trans = product_transitions(g, fixed, free, mdp.states)
+                    oracle = chains._Chain(mdp.states, trans, mdp.label)
+                    assert mdp.chain.forced == oracle.forced
+                    assert list(mdp.chain.rows.items()) == list(oracle.rows.items())
+                    assert mdp.chain.targets == oracle.targets
+                    assert mdp.chain.open == oracle.open
+                    for (v, _), (targets, den, nums) in mdp.chain.rows.items():
+                        assert (den, nums) == g.random_rows[v]
+                        assert [w for w, _ in targets] == list(g.successors[v])
+                        assert sum(nums) == den
+                    rows += len(mdp.chain.rows)
+                    tables += 1
+        assert tables == 240 and rows > 500
+
+
+def class_chain(seed, links):
+    """A seeded chain of classes, each 1-3 states on a cycle with self-loops.
+
+    `links` maps every class to the classes it exits to, all of them from
+    its first state and some from the others too; an exit may pass a
+    forced state on the way. A class without exits is a bottom class,
+    winning if its name starts with "win" and losing otherwise. The
+    states are listed in a seeded order, which is Tarjan's root order.
+    """
+    rng = random.Random(seed)
+    members = {c: [f"{c}.{i}" for i in range(rng.randint(1, 3))] for c in links}
+    trans, label = {}, {}
+    for c, exits in links.items():
+        ms = members[c]
+        for i, s in enumerate(ms):
+            if exits:
+                label[s] = rng.randint(0, 4)
+            else:  # the least priority of a bottom class decides it
+                least = 2 if c.startswith("win") else 1
+                label[s] = least if i == 0 else rng.randint(least, 4)
+            targets = {s, ms[(i + 1) % len(ms)]}
+            for d in exits:
+                if i == 0 or rng.random() < 0.3:
+                    t = members[d][0]
+                    if rng.random() < 0.5:  # through a forced state
+                        f = f"{s}>{d}"
+                        trans[f], label[f] = one(t), rng.randint(0, 4)
+                        t = f
+                    targets.add(t)
+            targets = sorted(targets)
+            den = rng.randint(max(2, len(targets)), 12)
+            cuts = [0, *sorted(rng.sample(range(1, den), len(targets) - 1)), den]
+            trans[s] = tuple(
+                (t, Fraction(hi - lo, den)) for t, lo, hi in zip(targets, cuts, cuts[1:])
+            )
+    order = list(trans)
+    rng.shuffle(order)
+    return order, {s: trans[s] for s in order}, label, members
+
+
+def expected_unknowns(states, trans, label):
+    """Branching states off the winning classes that can reach one."""
+    bottoms = chains._bottom_sccs(states, lambda s: [t for t, _ in trans[s]])
+    winning = set().union(*(c for c in bottoms if min(label[s] for s in c) % 2 == 0))
+    preds = {s: [] for s in states}
+    for s in states:
+        for t, _ in trans[s]:
+            preds[t].append(s)
+    reach, queue = set(winning), list(winning)
+    while queue:
+        for r in preds[queue.pop()]:
+            if r not in reach:
+                reach.add(r)
+                queue.append(r)
+    return sum(1 for s in states if len(trans[s]) > 1 and s in reach - winning)
+
+
+class TestReachabilityInTarjanPass:
+    """The classes that can reach a winning one are marked in the Tarjan
+    pass, each after every class it reaches; the reference is Tarjan over
+    every state, a BFS over predecessors and the dense solve."""
+
+    def check(self, monkeypatch, seed, links):
+        sizes = solve_sizes(monkeypatch)
+        states, trans, label, members = class_chain(seed, links)
+        got = kernel_chain_values(states, trans, label)
+        assert got == reference_chain_values(states, trans, label)
+        n = expected_unknowns(states, trans, label)
+        assert sizes == ([n] if n else [])
+        return got, members
+
+    def test_ladder_to_the_winning_class(self, monkeypatch):
+        # c0 reaches the winning class only through c1, c2 and c3 (and c4,
+        # c5 where there), each rung also leaking to a losing class
+        for seed in range(40):
+            rungs = 4 + seed % 3
+            links = {f"c{i}": [f"c{i + 1}", "lose"] for i in range(rungs - 1)}
+            links.update({f"c{rungs - 1}": ["win", "lose"], "win": [], "lose": []})
+            got, members = self.check(monkeypatch, seed, links)
+            assert all(0 < got[s] < 1 for s in members["c0"])
+
+    def test_class_that_reaches_only_losing_classes(self, monkeypatch):
+        links = {
+            "top": ["mid", "dead"],
+            "mid": ["win", "lose1"],
+            "dead": ["lose1", "lose2"],
+            "deader": ["dead"],
+            "win": [],
+            "lose1": [],
+            "lose2": [],
+        }
+        for seed in range(40):
+            got, members = self.check(monkeypatch, seed, links)
+            assert all(got[s] == 0 for s in members["dead"] + members["deader"])
+            assert all(0 < got[s] < 1 for s in members["top"])

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import stochparity.chains as chains
 import stochparity.cli as cli
 import stochparity.errors as errors
 import stochparity.resets as resets
@@ -812,6 +813,71 @@ class TestReset:
         code, _, err = run(capsys, "reset", files["zero"], str(sig))
         assert code == 4
         assert "inf" in err
+
+    @staticmethod
+    def tables_built(monkeypatch):
+        """The game of every one-player product built, in order."""
+        built = []
+        real = chains._ProductMdp.__init__
+
+        def recording(self, g, fixed, free_player):
+            built.append(g)
+            real(self, g, fixed, free_player)
+
+        monkeypatch.setattr(chains._ProductMdp, "__init__", recording)
+        return built
+
+    def check_reuse(self, capsys, monkeypatch, tmp_path, seed, sigma_of):
+        game = tmp_path / "game.json"
+        gen = ("--vertices", "5", "--max-priority", "3", "--max-out-degree", "3")
+        assert run(capsys, "gen", "--seed", str(seed), *gen, "--out", str(game))[0] == 0
+        g = parse_game(game.read_bytes())
+        sol = solve_game(g)
+        pruned = prune_superfluous(g, sol.values)
+        sigma = sigma_of(g, sol)
+        path = tmp_path / "sigma.json"
+        path.write_text(serialize_strategy(sigma))
+        # the lines as printed with sigma's table on g built afresh
+        rs = resets.reset_transform(pruned, sigma, sol.values, sol.m)
+        before, after = resets.lower_value(g, sigma), resets.lower_value(g, rs.strategy)
+        pairs = " ".join(f"{v},{mem}" for v, mem in sorted(rs.reset_pairs)) or "none"
+        expected = [
+            f"{v}={before[v].numerator}/{before[v].denominator} -> "
+            f"{after[v].numerator}/{after[v].denominator} value="
+            f"{sol.values[v].numerator}/{sol.values[v].denominator}"
+            for v in g.vertex_ids
+        ] + [f"reset-pairs={pairs}"]
+        built = self.tables_built(monkeypatch)
+        code, out, _ = run(capsys, "reset", str(game), str(path))
+        assert code == 0
+        assert out.splitlines() == expected
+        removed = sorted((e.src, e.dst) for e in set(g.edges) - set(pruned.edges))
+        return g, pruned, rs, built, removed
+
+    def test_table_reused_when_pruning_keeps_min_edges(self, capsys, monkeypatch, tmp_path):
+        # sigma plays v3 -> v1, the one edge pruning removes (a Max edge),
+        # from its second visit of v3 on, so it has reset pairs
+        def sigma_of(g, sol):
+            return stubborn_strategy(g, {"v0": "v0", "v3": "v0"}, {"v0": "v3", "v3": "v1"}, "v3", 2)
+
+        g, pruned, rs, built, removed = self.check_reuse(
+            capsys, monkeypatch, tmp_path, 32, sigma_of
+        )
+        assert removed == [("v3", "v1")] and rs.reset_pairs
+        # sigma's table on the pruned game, which serves g too, and the
+        # repaired machine's table on g
+        assert built == [pruned, g]
+
+    def test_table_rebuilt_when_pruning_removes_min_edges(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        g, pruned, rs, built, removed = self.check_reuse(
+            capsys, monkeypatch, tmp_path, 55, lambda g, sol: sol.sigma_star
+        )
+        assert len(removed) == 3
+        assert all(g.owner(v) is Owner.MIN for v, _ in removed)
+        # no reset pairs: the table on g is sigma's own, built once
+        assert not rs.reset_pairs and built == [pruned, g]
 
 
 def make_strategy_file(files, name, strategy):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -384,3 +385,40 @@ class TestRationalsAsciiOnly:
     def test_rejected(self, text):
         with pytest.raises(GameFormatError):
             parse_rational(text)
+
+
+class TestRecords:
+    """`Vertex` and `Edge` keep a plain frozen dataclass's fields,
+    equality, hashing, repr and `dataclasses.replace`."""
+
+    def test_like_a_plain_frozen_dataclass(self):
+        @dataclasses.dataclass(frozen=True)
+        class Vertex:
+            id: str
+            owner: Owner
+            priority: int
+
+        @dataclasses.dataclass(frozen=True)
+        class Edge:
+            src: str
+            dst: str
+            prob: Fraction | None = None
+
+        Vertex.__qualname__, Edge.__qualname__ = "Vertex", "Edge"
+        for real, plain, args in [
+            (globals()["Vertex"], Vertex, ("v", Owner.RANDOM, 3)),
+            (globals()["Edge"], Edge, ("a", "b", Fraction(1, 3))),
+            (globals()["Edge"], Edge, ("a", "b")),
+        ]:
+            x, y = real(*args), plain(*args)
+            names = [f.name for f in dataclasses.fields(x)]
+            assert names == [f.name for f in dataclasses.fields(y)]
+            assert [getattr(x, n) for n in names] == [getattr(y, n) for n in names]
+            assert repr(x) == repr(y)
+            assert x == real(*args) and hash(x) == hash(real(*args)) == hash(y)
+            assert x != real(*args[:1], "z", *args[2:])
+            changed = dataclasses.replace(x, **{names[0]: "w"})
+            assert type(changed) is real and getattr(changed, names[0]) == "w"
+            assert [getattr(changed, n) for n in names[1:]] == [getattr(x, n) for n in names[1:]]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, names[0], "w")
