@@ -27,13 +27,14 @@ draws and the same result:
 
 - If the start's forced run ends absorbed, or at or past the horizon,
   no play draws, all n are alike, and no stream is made.
-- If the chain has one branching state, every draw is that row's, so
-  the draws form one stream whatever the plays do. `one_row_plays`
-  scans it in numpy a bounded batch of blocks at a time, fetched by the
-  same calls in the same order; it may fetch blocks past the last draw
-  used, which nothing reads. If a play would reach the horizon before
-  it is absorbed, the plays are walked again by the loop below on a
-  fresh stream.
+- If every branching row has one denominator, and there are at most
+  four rows, every draw is that denominator's, so the draws form one
+  stream whatever the plays do, and the plays are an automaton on the
+  rows driven by it. `_Sampler.scan_plays` scans it in numpy a bounded
+  batch of blocks at a time, fetched by the same calls in the same
+  order; it may fetch blocks past the last draw used, which nothing
+  reads. If a play would reach the horizon before it is absorbed, the
+  plays are walked again by the loop below on a fresh stream.
 - Otherwise one loop, `_Sampler.plays`, walks the plays in turn,
   fetching a block only when a draw finds the last one used up, so a
   play that draws nothing fetches nothing. Each row is linked to its
@@ -50,6 +51,7 @@ steps, so it truncates exactly where a step-by-step walk would.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -62,6 +64,7 @@ from typing import TYPE_CHECKING, Iterator, Union
 from .chains import Outcome, ProductChain, product_chain
 from .errors import SimulationError
 from .game import GameGraph, _integer_row, _max_wins
+from .linalg import solve_linear
 from .mealy import MealyStrategy
 from .resets import _deviation_chain, deviation_states
 from .values import ValueMap
@@ -73,6 +76,8 @@ _MASK64 = (1 << 64) - 1
 _STDERR_SCALE = 10**12
 _MAX_DEN = 1 << 63  # numpy draws int64 values
 _BLOCK = 256  # draws fetched from a stream at a time
+_SCAN_BLOCKS = 16  # blocks a scan batch fetches at most, bounding its memory
+_SCAN_ROWS = 4  # rows a scan takes at most: (4^4)^2 = 65,536 compositions
 
 
 def stream(seed: int, worker_index: int) -> np.random.Generator:
@@ -164,6 +169,29 @@ class _Sampler:
             assert cums[-1] == den
             self.rows[i] = (den, cums, [land(index[t], 1) for t, _ in row])
 
+    @functools.cached_property
+    def cuts(self) -> dict[int, list[int]]:
+        """The cut points below each denominator of all its rows: a draw is
+        read as the interval it falls in between them. Built on first use,
+        as plays that draw nothing need none."""
+        cuts: dict[int, set[int]] = {}
+        for den, cums, _ in self.rows.values():
+            cuts.setdefault(den, set()).update(cums[:-1])
+        return {den: sorted(c) for den, c in cuts.items()}
+
+    @functools.cached_property
+    def picks(self) -> dict[int, list[int]]:
+        """Each row as a table of the landing it picks on each interval."""
+        return {
+            i: [bisect_right(cums, low) for low in (0, *self.cuts[den])]
+            for i, (den, cums, _) in self.rows.items()
+        }
+
+    @property
+    def scans(self) -> bool:
+        """Whether `scan_plays` can tally the plays."""
+        return len(self.cuts) == 1 and len(self.rows) <= _SCAN_ROWS
+
     def plays(
         self, gen: np.random.Generator, n: int, horizon: int, trace: list | None = None
     ) -> dict[tuple[int | None, int], int]:
@@ -172,12 +200,14 @@ class _Sampler:
 
         `trace`, if given, gets the vertex of every step appended.
         """
-        # bind every row to its denominator's draws, so rows that share one
-        # share them, and every landing to the row of its stop, None if absorbed
-        draws = {den: _draws(gen, den).__next__ for den, _, _ in self.rows.values()}
-        linked = {i: [draws[den], cums] for i, (den, cums, _) in self.rows.items()}
+        # bind every row to its denominator's draws, read as intervals, so
+        # rows that share one share them, and every landing to the row of
+        # its stop, None if absorbed
+        draws = {den: _draws(gen, den, cuts).__next__ for den, cuts in self.cuts.items()}
+        linked = {i: [draws[den]] for i, (den, _, _) in self.rows.items()}
         for i, (_, _, landings) in self.rows.items():
-            linked[i].append([(linked.get(stop), stop, d, ps) for stop, d, ps in landings])
+            landed = [(linked.get(stop), stop, d, ps) for stop, d, ps in landings]
+            linked[i].append([landed[pick] for pick in self.picks[i]])
         first = (linked.get(self.first[0]), *self.first)
         tally: dict[tuple[int | None, int], int] = {}
         for _ in range(n):
@@ -188,69 +218,135 @@ class _Sampler:
                     trace.extend(passed[: len(passed) + horizon - steps])
                 if row is None or steps >= horizon:
                     break
-                below, cums, landings = row
-                row, stop, distance, passed = landings[bisect_right(cums, below())]
+                below, table = row
+                row, stop, distance, passed = table[below()]
                 steps += distance
             key = (None, horizon) if row is not None or steps > horizon else (stop, steps)
             tally[key] = tally.get(key, 0) + 1
         return tally
 
-    def one_row_plays(
-        self, gen: np.random.Generator, n: int, horizon: int
-    ) -> dict[tuple[int | None, int], int] | None:
-        """The tally `plays` gives for n plays on a chain with one branching
-        state, where the first landing is that state, below the horizon.
+    @functools.cached_property
+    def _automaton(self) -> tuple:
+        """The tables `scan_plays` reads, for a chain whose rows share one
+        denominator.
 
-        Every draw is that row's, so the draws form one stream whatever
-        the plays do, and they are scanned in numpy a batch of blocks at a
-        time. Returns None if some play would reach the horizon before it
-        is absorbed: `plays` stops drawing there, so the scan's plays are
-        no longer the loop's. That is checked for each absorbed play and,
-        at the end of each batch, for the play still open, so the scan
-        stops within a batch of the horizon however rarely plays end.
+        Rows are numbered in `rows` order. A draw on interval j of the m
+        intervals moves row r to the row of its landing or, if that is
+        absorbed, back to the first landing's row, where the next play
+        starts. So interval j is a map of the k rows, coded as `_maps`
+        reads it. Each (row, interval) code r·m + j also gives the
+        landing's distance, whether it is absorbed and the slot of its stop
+        in the list of stops.
         """
         import numpy as np
 
-        (den, cums, landings), = self.rows.values()
-        bounds = np.array(cums, dtype=np.uint64)  # den may be 2^63
-        distance = np.array([d for _, d, _ in landings], dtype=np.int64)
-        hits = [stop in self.absorbed for stop, _, _ in landings]
-        absorbed = np.array(hits)
-        stops = [stop for stop, _, _ in landings]
-        width = len(landings)
-        # steps stay far below 2^63, so comparing them with the clipped
-        # horizon decides as comparing them with the horizon would, and
-        # keeps the comparison in int64 on numpy 1.x, which casts a larger
-        # Python int to float or object
-        cap = min(horizon, np.iinfo(np.int64).max)
+        (den, cuts), = self.cuts.items()
+        order = {i: r for r, i in enumerate(self.rows)}
+        first, k, m = order[self.first[0]], len(order), len(cuts) + 1
+        widths = [b - a for a, b in zip((0, *cuts), (*cuts, den))]
+        maps, distance, ended, slots = [0] * m, [], [], []
+        slot: dict[int, int] = {}  # of each absorbed stop
+        # den times I minus the chances of moving from row to row
+        system = [[den * (r == t) for t in range(k)] for r in range(k)]
+        for r, (i, (_, _, landings)) in enumerate(self.rows.items()):
+            for j, (pick, width) in enumerate(zip(self.picks[i], widths)):
+                stop, d, _ = landings[pick]
+                hit = stop in self.absorbed
+                after = first if hit else order[stop]
+                maps[j] += after * k**r
+                distance.append(d)
+                ended.append(hit)
+                slots.append(slot.setdefault(stop, len(slot)) if hit else 0)
+                if not hit:
+                    system[r][after] -= width
+        # the expected draws of a play size the batches; solved exactly,
+        # as floats may round a system whose plays end very rarely to a
+        # singular one
+        per_play = float(solve_linear(system, [den] * k)[first])
+        return (
+            den,
+            np.array(cuts, dtype=np.int64),  # below den <= 2^63
+            np.array(maps),
+            *_maps(k),
+            np.array(distance, dtype=np.int64),
+            np.array(ended),
+            np.array(slots, dtype=np.int64),
+            list(slot),
+            first,
+            per_play,
+        )
+
+    def scan_plays(
+        self, gen: np.random.Generator, n: int, horizon: int
+    ) -> dict[tuple[int | None, int], int] | None:
+        """The tally `plays` gives for n plays on a chain whose rows, at most
+        `_SCAN_ROWS`, share one denominator, where the first landing is a
+        row below the horizon.
+
+        Every draw is then that denominator's, so the draws form one
+        stream whatever the plays do, and they are scanned in numpy a batch
+        of blocks at a time. Each draw maps the row before it to the row
+        after it, so the row before every draw is a prefix composition of
+        those maps, found by Hillis–Steele doubling ("Data parallel
+        algorithms", CACM 1986). A draw whose map is constant synchronises:
+        a prefix that reaches back to one is already exact, so the doubling
+        stops once its window spans the longest run back to one. On one row
+        every map is constant, and nothing is composed. Returns None if some
+        play would reach the horizon before it is absorbed: `plays` stops
+        drawing there, so the scan's plays are no longer the loop's. That
+        is checked for each absorbed play and, at the end of each batch,
+        for the play still open, so the scan stops within a batch of the
+        horizon however rarely plays end.
+        """
+        import numpy as np
+
+        (den, bounds, maps, images, compose, constant,
+         distance, ended, slots, stops, row, per_play) = self._automaton
+        m, width = len(maps), len(stops)
+        # steps stay far below 2^63, so comparing them with the horizon
+        # clipped to int64 decides as comparing them with the horizon would,
+        # and keeps the comparison in int64 on numpy 1.x, which casts a
+        # larger Python int to float or object
+        cap = min(horizon, _MAX_DEN - 1)
         start = steps = self.first[1]  # steps: of the play still open
-        # the chance that a draw ends a play; some landing is absorbed, or
-        # the row would be a closed class
-        ending = sum(b - a for a, b, hit in zip([0, *cums], cums, hits) if hit) / den
         tally: dict[tuple[int | None, int], int] = {}
         while n:
             # about the draws the plays left need; fetching past the loop's
             # last block is harmless, as nothing reads the stream after its
-            # plays, and 16 blocks bound a batch's memory
-            blocks = min(math.ceil(n / ending / _BLOCK), 16)
+            # plays
+            wanted = n * per_play / _BLOCK
+            blocks = math.ceil(wanted) if wanted < _SCAN_BLOCKS else _SCAN_BLOCKS
             drawn = np.concatenate([gen.integers(0, den, size=_BLOCK) for _ in range(blocks)])
-            landing = np.searchsorted(bounds, drawn.astype(np.uint64), side="right")
-            walked = np.cumsum(distance[landing])
-            ends = np.flatnonzero(absorbed[landing])[:n]
+            # each draw's (row, interval) code
+            code = np.searchsorted(bounds, drawn, side="right")
+            if len(images) > 1:  # more than one row
+                prefix = maps[code]
+                syncs = np.flatnonzero(constant[prefix])
+                longest = np.diff(syncs, prepend=0, append=code.size).max()
+                span = 1
+                while span < longest:
+                    prefix[span:] = compose[prefix[span:] * len(images[0]) + prefix[:-span]]
+                    span *= 2
+                rows = images[row][prefix]  # the row after each draw
+                code[0] += row * m
+                code[1:] += rows[:-1] * m
+                row = int(rows[-1])
+            walked = np.cumsum(distance[code])
+            ends = np.flatnonzero(ended[code])[:n]
             if ends.size:
                 # each play's steps: its share of the walk, plus its start
                 at = walked[ends]
                 before = np.concatenate(([start - steps], at[:-1]))
                 played = at - before + start
-                last = landing[ends]
+                last = code[ends]
                 if (played - distance[last] >= cap).any():
                     return None
-                # one code per key: landing and steps, or -1 if truncated
-                codes = np.where(played > cap, -1, played * width + last)
-                codes, counts = np.unique(codes, return_counts=True)
-                for code, count in zip(codes.tolist(), counts.tolist()):
-                    k, j = divmod(code, width)
-                    key = (None, horizon) if code < 0 else (stops[j], k)
+                # one key per stop and steps, or -1 if truncated
+                keys = np.where(played > cap, -1, played * width + slots[last])
+                keys, counts = np.unique(keys, return_counts=True)
+                for key, count in zip(keys.tolist(), counts.tolist()):
+                    k, j = divmod(key, width)
+                    key = (None, horizon) if key < 0 else (stops[j], k)
                     tally[key] = tally.get(key, 0) + count
                 steps = start - int(at[-1])
             n -= ends.size
@@ -261,10 +357,31 @@ class _Sampler:
         return tally
 
 
-def _draws(gen: np.random.Generator, den: int) -> Iterator[int]:
-    """Uniform draws below den, fetched from gen a block of 256 at a time."""
+@functools.cache
+def _maps(k: int) -> tuple:
+    """The k^k maps of range(k) into itself, map c sending x to the x-th
+    base-k digit of c, as (images, compose, constant): images[x, c] is c's
+    image of x, compose[a·k^k + b] is map b, then map a, and constant[c]
+    whether c sends every x to one."""
+    import numpy as np
+
+    n = k**k
+    powers = k ** np.arange(k)
+    images = np.arange(n) // powers[:, None] % k
+    a = np.arange(n)[:, None]
+    compose = sum(images[images[x], a] * int(p) for x, p in enumerate(powers))
+    return images, compose.ravel(), (images == images[0]).all(axis=0)
+
+
+def _draws(gen: np.random.Generator, den: int, cuts: list[int]) -> Iterator[int]:
+    """The interval between `cuts` of each uniform draw below den, the draws
+    fetched from gen a block of 256 at a time."""
+    import numpy as np
+
+    bounds = np.array(cuts, dtype=np.int64)
     return itertools.chain.from_iterable(
-        gen.integers(0, den, size=_BLOCK).tolist() for _ in itertools.repeat(None)
+        np.searchsorted(bounds, gen.integers(0, den, size=_BLOCK), side="right").tolist()
+        for _ in itertools.repeat(None)
     )
 
 
@@ -297,19 +414,19 @@ def _plays(sampler: _Sampler, n: int, seed: int, workers: int, horizon: int) -> 
     Workers past the n-th would draw nothing, so only min(workers, n)
     streams are made; the plays are the same for any larger count. If the
     start's forced run ends absorbed, or at or past the horizon, no play
-    draws and all n are alike, so no stream is made at all. A chain with one
-    branching state is scanned by `one_row_plays`, and walked again by
-    `plays` on a fresh stream if a play reaches the horizon; any other
-    chain is walked by `plays`. All three give the same tally.
+    draws and all n are alike, so no stream is made at all. A chain whose
+    rows, at most `_SCAN_ROWS`, share one denominator is scanned by
+    `scan_plays`, and walked again by `plays` on a fresh stream if a play
+    reaches the horizon; any other chain is walked by `plays`. All three
+    give the same tally.
     """
     stop, steps, _ = sampler.first
     if stop in sampler.absorbed or steps >= horizon:
         ended = stop in sampler.absorbed and steps <= horizon
         return Counter({(stop, steps) if ended else (None, horizon): n})
-    one_row = len(sampler.rows) == 1
     tally: Counter = Counter()
     for worker, quota in enumerate(_chunks(n, min(workers, n))):
-        part = sampler.one_row_plays(stream(seed, worker), quota, horizon) if one_row else None
+        part = sampler.scan_plays(stream(seed, worker), quota, horizon) if sampler.scans else None
         if part is None:
             part = sampler.plays(stream(seed, worker), quota, horizon)
         tally.update(part)

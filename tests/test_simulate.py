@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -423,16 +424,17 @@ def assert_plays_match(chain, start, n, seed, workers, horizon, dev=frozenset(),
     stream, fixes every play in its order, and `_plays` must return the
     sum over the workers; on long runs only every `every`-th k and the
     last are tallied. Each play's stop must give the oracle's outcome and
-    first-deviation date. Where the first landing is the only branching
-    state, below the horizon, `one_row_plays` must give the same tallies
-    or None, and None only where the plays include a truncated one.
+    first-deviation date. Where the scan takes the chain (its rows share
+    one denominator, and are at most four) and the first landing is below
+    the horizon, `scan_plays` must give the same tallies or None, and None
+    only where the plays include a truncated one.
     Returns how many tallies the scan made ("scanned"), how many of those
     hold truncated plays ("cut"), and how many it left to the loop
     ("walked").
     """
     sampler = simulate._Sampler(chain, start)
     first, first_steps, _ = sampler.first
-    scan = len(sampler.rows) == 1 and first in sampler.rows and first_steps < horizon
+    scan = sampler.scans and first in sampler.rows and first_steps < horizon
     used = Counter()
     chunks = reference_chunks(chain, start, n, seed, workers, horizon, dev)
     for worker, chunk in enumerate(chunks):
@@ -445,7 +447,7 @@ def assert_plays_match(chain, start, n, seed, workers, horizon, dev=frozenset(),
                 continue
             assert sampler.plays(stream(seed, worker), k, horizon) == want
             if scan:
-                tally = sampler.one_row_plays(stream(seed, worker), k, horizon)
+                tally = sampler.scan_plays(stream(seed, worker), k, horizon)
                 assert tally == want or tally is None and want[None, horizon] > 0
                 used["walked" if tally is None else "scanned"] += 1
                 if tally is not None:
@@ -796,7 +798,7 @@ class TestOneRowScan:
         # of one batch
         chain = retry_chain()
         gen = CountingGenerator(stream(2, 0))
-        simulate._Sampler(chain, "t").one_row_plays(gen, 3000, 10_000)
+        simulate._Sampler(chain, "t").scan_plays(gen, 3000, 10_000)
         assert len(gen.calls) > 16 and set(gen.calls) == {(0, 4, 256)}
         for workers in (1, 2):
             used = assert_plays_match(chain, "t", 3000, 2, workers, 10_000, every=101)
@@ -850,7 +852,7 @@ class TestOneRowScan:
         chain = retry_chain(tiny, tiny)
         sampler = simulate._Sampler(chain, "t")
         gen = CountingGenerator(stream(0, 0), limit=32)
-        assert sampler.one_row_plays(gen, 100, 10) is None
+        assert sampler.scan_plays(gen, 100, 10) is None
         assert len(gen.calls) <= 16
         real = simulate.stream
         monkeypatch.setattr(simulate, "stream", lambda *a: CountingGenerator(real(*a), 32))
@@ -875,16 +877,225 @@ class TestOneRowScan:
         assert simulate._plays(sampler, 10**12, 0, 2, 1) == {(sampler.first[0], 0): 10**12}
 
 
-class TestExactLaw:
-    """Tallied frequencies of each absorbed class against the exact law.
+def ping_pong_game(s_row, o_row):
+    """Two Random rows that lead to each other.
 
-    By Hoeffding's bound a class's frequency over N plays strays by t or
+    s moves to a, forced on to o, to the sink l, or to x, forced on to the
+    sink w, with the chances in `s_row`; o moves to b, forced back to o, to
+    l, to s, or to w, with those in `o_row`.
+    """
+    vertices = [Vertex(v, Owner.RANDOM, 1) for v in "so"]
+    vertices += [Vertex(v, Owner.MAX, 1) for v in "abxl"]
+    vertices.append(Vertex("w", Owner.MAX, 0))
+    edges = [Edge("s", t, p) for t, p in zip("alx", s_row)]
+    edges += [Edge("o", t, p) for t, p in zip("blsw", o_row)]
+    edges += [Edge("a", "o"), Edge("b", "o"), Edge("x", "w"), Edge("w", "w"), Edge("l", "l")]
+    return GameGraph("ping-pong", tuple(vertices), tuple(edges))
+
+
+PING = (Fraction(5, 8), Fraction(1, 8), Fraction(1, 4))
+PONG = (Fraction(1, 4), Fraction(1, 8), Fraction(3, 8), Fraction(1, 4))
+
+
+def ping_pong_chain(s_row=PING, o_row=PONG):
+    g = ping_pong_game(s_row, o_row)
+    return product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
+
+
+def coin_ladder_game(rungs):
+    """Rungs c0, c1, ..., each a fair coin between the sink w and the next
+    rung, the last one's between w and the sink l: one row of denominator
+    2 per rung."""
+    names = [f"c{i}" for i in range(rungs)]
+    vertices = [Vertex(v, Owner.RANDOM, 1) for v in names]
+    vertices += [Vertex("w", Owner.MAX, 0), Vertex("l", Owner.MAX, 1)]
+    edges = [Edge("w", "w"), Edge("l", "l")]
+    for v, t in zip(names, [*names[1:], "l"]):
+        edges += [Edge(v, "w", H), Edge(v, t, H)]
+    return GameGraph("coin-ladder", tuple(vertices), tuple(edges))
+
+
+def witness_chain(seed, n, start):
+    """The chain of random_game(seed, n, 3, 3, 1/3) under its witnesses."""
+    g = random_game(seed, n, 3, 3, Fraction(1, 3))
+    sol = solve_game(g)
+    return product_chain(g, sol.sigma_star, sol.tau_star, [start])
+
+
+class TestOneDenominatorScan:
+    """Chains of several rows of one denominator are scanned like one row:
+    each draw maps the row before it to the row after it."""
+
+    def chains(self):
+        g = two_coins_game()
+        coins = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
+        return [(coins, "s"), (ping_pong_chain(), "s")]
+
+    def test_rows_share_one_denominator(self):
+        for (chain, start), rows, den in zip(self.chains(), (3, 2), (2, 8)):
+            sampler = simulate._Sampler(chain, start)
+            assert len(sampler.rows) == rows and list(sampler.cuts) == [den]
+            assert sampler.scans
+
+    def test_runs_over_several_batches(self):
+        # two draws a play or more: 3000 plays need more than the 16 blocks
+        # of one batch
+        for (chain, start), den in zip(self.chains(), (2, 8)):
+            gen = CountingGenerator(stream(2, 0))
+            assert simulate._Sampler(chain, start).scan_plays(gen, 3000, 10_000)
+            assert len(gen.calls) > 16 and set(gen.calls) == {(0, den, 256)}
+            for workers in (1, 2):
+                used = assert_plays_match(chain, start, 3000, 2, workers, 10_000, every=101)
+                assert used["scanned"] > 0 and used["cut"] == used["walked"] == 0
+        # batches are sized by the draws a play makes on all its rows: every
+        # play on the two coins draws twice, so the scan fetches the loop's
+        # 24 blocks
+        (chain, start), _ = self.chains()
+        sampler = simulate._Sampler(chain, start)
+        scanned, walked = CountingGenerator(stream(2, 0)), CountingGenerator(stream(2, 0))
+        assert sampler.scan_plays(scanned, 3000, 10) == sampler.plays(walked, 3000, 10)
+        assert len(scanned.calls) == len(walked.calls) == 24
+
+    def test_every_run_between_synchronising_draws(self):
+        # on ping-pong's intervals, draw 0 sends s and o to o, 3 swaps them,
+        # 6 ends the play from either, two steps on from s and one from o,
+        # and 5 ends it from s alone; so where each play ends depends on the
+        # last 0 before it, however many swaps lie between, and on its start
+        script = [d for swaps in range(41) for d in (5, 0, *[3] * swaps, 6)]
+        chain = ping_pong_chain()
+        sampler = simulate._Sampler(chain, "s")
+        assert sampler.cuts == {8: [2, 3, 5, 6]}
+        assert list(sampler.picks.values()) == [[0, 0, 0, 1, 2], [0, 1, 2, 2, 3]]
+        # the same chain with its states listed backwards numbers o's row
+        # before s's, where the plays start
+        backwards = ProductChain(
+            chain.states[::-1], chain.transitions, chain.label, chain.start
+        )
+        for chain in (chain, backwards):
+            sampler = simulate._Sampler(chain, "s")
+            for n in (1, 10, 41, 200):
+                want = sampler.plays(ScriptedGenerator(script), n, 10_000)
+                assert sampler.scan_plays(ScriptedGenerator(script), n, 10_000) == want
+        assert [chain.states[i][0] for i in sampler.rows] == ["o", "s"]
+
+    def test_every_horizon_up_to_past_the_longest_play(self):
+        # a play landing on w two steps past the horizon is cut within the
+        # scan; one still on a row at or past it hands the plays back
+        used = Counter()
+        for chain, start in self.chains():
+            (plays,) = reference_chunks(chain, start, 200, 4, 1, 10_000)
+            longest = max(steps for (_, steps), _, _ in plays)
+            for horizon in range(1, longest + 2):
+                for workers in (1, 2):
+                    used += assert_plays_match(chain, start, 200, 4, workers, horizon, every=3)
+        assert used["scanned"] > 0 and used["cut"] > 0 and used["walked"] > 0
+
+    def test_denominator_two_to_the_63(self):
+        tiny = Fraction(1, 2**63)
+        s_row = (PING[0] - tiny, PING[1], PING[2] + tiny)
+        o_row = (PONG[0], PONG[1] - tiny, PONG[2] + tiny, PONG[3])
+        chain = ping_pong_chain(s_row, o_row)
+        sampler = simulate._Sampler(chain, "s")
+        assert len(sampler.rows) == 2 and list(sampler.cuts) == [2**63]
+        assert sampler.scans
+        used = assert_plays_match(chain, "s", 3000, 7, 2, 10_000, every=101)
+        assert used["scanned"] > 0 and used["cut"] == used["walked"] == 0
+
+    def test_open_play_reaching_the_horizon_hands_back(self, monkeypatch):
+        # a play ends about once in 2^39 draws, or in 2^62, so no absorbed
+        # landing shows the horizon: only the open play does, within the
+        # first batch. The expected draws are exact, though at 2^-63 floats
+        # would round the system for them to a singular one
+        real = simulate.stream
+        for e in (40, 63):
+            tiny = Fraction(1, 2**e)
+            chain = ping_pong_chain((1 - 2 * tiny, tiny, tiny), (H - tiny, tiny, H - tiny, tiny))
+            sampler = simulate._Sampler(chain, "s")
+            assert len(sampler.rows) == 2 and sampler.scans
+            assert sampler._automaton[-1] == 2 ** (e - 1)
+            gen = CountingGenerator(stream(0, 0), limit=32)
+            assert sampler.scan_plays(gen, 100, 10) is None
+            assert len(gen.calls) <= 16
+            monkeypatch.setattr(simulate, "stream", lambda *a: CountingGenerator(real(*a), 32))
+            used = assert_plays_match(chain, "s", 100, 0, 2, 10, every=7)
+            assert used["walked"] > 0 and used["scanned"] == 0
+            monkeypatch.setattr(simulate, "stream", real)
+
+    def test_plays_longer_than_a_batch(self):
+        # a play ends about once in 2^9 draws, so some run over several
+        # batches
+        tiny = Fraction(1, 2**10)
+        chain = ping_pong_chain((1 - 2 * tiny, tiny, tiny), (H - tiny, tiny, H - tiny, tiny))
+        (plays,) = reference_chunks(chain, "s", 40, 3, 1, 10_000)
+        assert max(steps for (_, steps), _, _ in plays) > 4096
+        used = assert_plays_match(chain, "s", 40, 3, 1, 10_000, every=13)
+        assert used["scanned"] > 0 and used["cut"] == used["walked"] == 0
+
+    def test_more_than_four_rows_stay_on_the_loop(self, monkeypatch):
+        chains = {}
+        for rungs in (4, 5):
+            g = coin_ladder_game(rungs)
+            chains[rungs] = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["c0"])
+            sampler = simulate._Sampler(chains[rungs], "c0")
+            assert len(sampler.rows) == rungs and list(sampler.cuts) == [2]
+            assert sampler.scans is (rungs == 4)
+        used = assert_plays_match(chains[4], "c0", 300, 1, 2, 10_000, every=13)
+        assert used["scanned"] > 0
+        monkeypatch.setattr(simulate._Sampler, "scan_plays", None)  # a scan would fail
+        assert assert_plays_match(chains[5], "c0", 300, 1, 2, 10_000, every=13) == Counter()
+
+    def test_seeded_game_with_two_rows_of_denominator_three(self):
+        # v5 draws among a sink three steps on, one two steps on, and v2,
+        # which draws between two sinks
+        chain = witness_chain(2527, 6, "v5")
+        sampler = simulate._Sampler(chain, "v5")
+        assert [den for den, _, _ in sampler.rows.values()] == [3, 3] and sampler.scans
+        used = Counter()
+        for horizon in HORIZONS:
+            for workers in (1, 2):
+                used += assert_plays_match(chain, "v5", 300, 1, workers, horizon, every=7)
+        assert used["scanned"] > 0 and used["cut"] > 0 and used["walked"] > 0
+        # the plays the command line samples there
+        g = random_game(2527, 6, 3, 3, Fraction(1, 3))
+        sol = solve_game(g)
+        pinned = {10_000: (Fraction(1529, 2000), 0), 2: (Fraction(898, 1369), 631)}
+        for horizon, want in pinned.items():
+            got = estimate_value(g, sol.sigma_star, sol.tau_star, "v5", 2000, 1, horizon)
+            assert (got.estimate, got.truncated) == want
+
+
+def step_law(chain, start, steps):
+    """The exact law of a play from `start`, step by step on the chain:
+    ({(stop, t): chance that it first enters a closed class at state
+    index `stop` after t <= `steps` steps}, chance that it has not entered
+    one after `steps` steps)."""
+    index = {s: i for i, s in enumerate(chain.states)}
+    closed = {s for c in chain.bsccs() for s in c}
+    law, mass = {}, {chain.start[start]: Fraction(1)}
+    for t in range(steps + 1):
+        law.update(((index[s], t), p) for s, p in mass.items() if s in closed)
+        mass = {s: p for s, p in mass.items() if s not in closed}
+        if t < steps:
+            moved = Counter()
+            for s, p in mass.items():
+                for u, q in chain.transitions[s]:
+                    moved[u] += p * q
+            mass = moved
+    return law, sum(mass.values())
+
+
+class TestExactLaw:
+    """Tallied frequencies against the exact law.
+
+    By Hoeffding's bound an event's frequency over N plays strays by t or
     more from its probability with chance at most 2 exp(-2 N t^2); t is
-    fixed at a chance of 10^-9 per class, with the seed, before any run.
+    fixed at a chance of 10^-9 per event, with the seed, before any run.
     """
 
     N, SEED, WORKERS, HORIZON = 20_000, 2026, 2, 10_000
     BOUND = math.sqrt(math.log(2 * 10**9) / (2 * N))
+    # plays longer than this are one event of the step law
+    STEPS = 40
 
     def cases(self):
         g1, g2, g3 = fx.g1(), fx.g2(), fx.g3()
@@ -918,8 +1129,55 @@ class TestExactLaw:
                 p = absorption_probabilities(chain, c)[chain.start[start]]
                 assert abs(Fraction(hits, self.N) - p) <= self.BOUND, (g.name, start, c)
                 compared += 1
-        # G1 draws nothing, G3 walks three rows, the rest scan one
+        # G1 draws nothing, G3 scans three rows of denominator 2, the rest
+        # scan one
         assert rows == [0, 1, 3, 1, 1, 1, 1, 1] and compared >= 15
+
+    def law_cases(self):
+        """(chain, start): three chains of several rows of one denominator,
+        one of denominators 2 and 3, and one of one row."""
+        g3, coins, die = fx.g3(), two_coins_game(), coin_and_die_game()
+        return [
+            (product_chain(g3, fx.sigma3(), fx.trivial_min(g3), ["s"]), "s"),
+            (product_chain(coins, fx.trivial_max(coins), fx.trivial_min(coins), ["s"]), "s"),
+            (ping_pong_chain(), "s"),
+            (witness_chain(2527, 6, "v5"), "v5"),
+            (product_chain(die, fx.trivial_max(die), fx.trivial_min(die), ["s"]), "s"),
+            (retry_chain(), "t"),
+        ]
+
+    def assert_within_the_bound(self, tally, law):
+        """Each event of `law`, a map to exact chances, against its share of
+        the tally; events outside it must not occur."""
+        assert set(tally) <= set(law)
+        for key, p in law.items():
+            assert abs(Fraction(tally.get(key, 0), self.N) - p) <= self.BOUND, key
+        return len(law)
+
+    def test_stop_and_steps_within_the_bound(self):
+        compared, paths = 0, set()
+        for chain, start in self.law_cases():
+            sampler = simulate._Sampler(chain, start)
+            paths.add((sampler.scans, len(sampler.rows)))
+            law, later = step_law(chain, start, self.STEPS)
+            tally = simulate._plays(sampler, self.N, self.SEED, self.WORKERS, self.HORIZON)
+            got = Counter()
+            for (stop, steps), count in tally.items():
+                got[(stop, steps) if steps <= self.STEPS else "later"] += count
+            compared += self.assert_within_the_bound(got, {**law, "later": later})
+        assert paths == {(True, 3), (True, 2), (False, 3), (True, 1)} and compared > 40
+
+    def test_truncation_at_a_small_horizon(self):
+        # at horizon 2 a play still open on a row is cut; at 3 the scans of
+        # the two coins and of the seeded game's v5 finish every play
+        compared = 0
+        for chain, start in self.law_cases():
+            sampler = simulate._Sampler(chain, start)
+            for horizon in (2, 3):
+                law, cut = step_law(chain, start, horizon)
+                tally = simulate._plays(sampler, self.N, self.SEED, self.WORKERS, horizon)
+                compared += self.assert_within_the_bound(tally, {**law, (None, horizon): cut})
+        assert compared > 20
 
 
 def g3_with_coin(den):
@@ -1023,6 +1281,18 @@ class CountingGenerator:
         return self.gen.integers(low, high, size=size)
 
 
+class ScriptedGenerator:
+    """A generator whose draws are `script` over and over."""
+
+    def __init__(self, script):
+        self.draws = itertools.cycle(script)
+
+    def integers(self, low, high, size):
+        import numpy as np
+
+        return np.array(list(itertools.islice(self.draws, size)))
+
+
 def two_coins_game():
     """s tosses a fair coin between a and b, and each tosses one between w and l."""
     vertices = [
@@ -1035,6 +1305,30 @@ def two_coins_game():
     edges = [Edge("s", "a", H), Edge("s", "b", H), Edge("w", "w"), Edge("l", "l")]
     edges += [Edge(v, t, H) for v in "ab" for t in "wl"]
     return GameGraph("two-coins", tuple(vertices), tuple(edges))
+
+
+def coin_and_die_game():
+    """s tosses a coin between a and b; a draws a third among w, l and back
+    to s, b a half between w and l."""
+    return GameGraph(
+        "coin-and-die",
+        (
+            Vertex("s", Owner.RANDOM, 1),
+            Vertex("a", Owner.RANDOM, 1),
+            Vertex("b", Owner.RANDOM, 1),
+            Vertex("w", Owner.MAX, 0),
+            Vertex("l", Owner.MAX, 1),
+        ),
+        (
+            Edge("s", "a", H),
+            Edge("s", "b", H),
+            *(Edge("a", t, Fraction(1, 3)) for t in "wls"),
+            Edge("b", "w", H),
+            Edge("b", "l", H),
+            Edge("w", "w"),
+            Edge("l", "l"),
+        ),
+    )
 
 
 class TestDrawOrder:
@@ -1066,28 +1360,8 @@ class TestDrawOrder:
         assert_plays_match(chain, "s", 129, 3, 1, 10)
 
     def test_two_denominators_fetch_interleaved_blocks(self):
-        # s tosses a coin between a and b; a draws a third among w, l and
-        # back to s, b a half between w and l: denominators 2 and 3, drawn
-        # in an order only the plays decide
-        g = GameGraph(
-            "coin-and-die",
-            (
-                Vertex("s", Owner.RANDOM, 1),
-                Vertex("a", Owner.RANDOM, 1),
-                Vertex("b", Owner.RANDOM, 1),
-                Vertex("w", Owner.MAX, 0),
-                Vertex("l", Owner.MAX, 1),
-            ),
-            (
-                Edge("s", "a", H),
-                Edge("s", "b", H),
-                *(Edge("a", t, Fraction(1, 3)) for t in "wls"),
-                Edge("b", "w", H),
-                Edge("b", "l", H),
-                Edge("w", "w"),
-                Edge("l", "l"),
-            ),
-        )
+        # denominators 2 and 3, drawn in an order only the plays decide
+        g = coin_and_die_game()
         chain = product_chain(g, fx.trivial_max(g), fx.trivial_min(g), ["s"])
         n = 2000
         gen = CountingGenerator(stream(8, 0))
