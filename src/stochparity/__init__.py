@@ -3,7 +3,13 @@
 Everything value-like is an exact `fractions.Fraction`; floats appear
 only inside the Monte Carlo sampler and as the math.inf sentinel for
 the smallest-positive-value threshold of an all-zero game.
+
+The sampler module `simulate` is registered at import but its code runs
+on first use: the exact layers never compile or execute it.
 """
+
+import importlib.util as _util
+import sys as _sys
 
 from .chains import (
     Outcome,
@@ -69,15 +75,6 @@ from .resets import (
     reset_windows,
     upper_value,
 )
-from .simulate import (
-    DeviationStats,
-    EstimateResult,
-    PlayRecord,
-    estimate_value,
-    sample_play,
-    simulate_deviations,
-    stream,
-)
 from .values import (
     Solution,
     check_value_equations,
@@ -88,6 +85,42 @@ from .values import (
     serialize_solution,
     solve_game,
 )
+
+
+def _lazy_module(name: str):
+    """Register submodule `name` in sys.modules; its code runs on first attribute read."""
+    spec = _util.find_spec(name)
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+simulate = _lazy_module(__name__ + ".simulate")
+
+# names re-exported from `simulate`, read from it on each access (PEP 562),
+# so that importing the package runs none of the sampler's code
+_SAMPLER_NAMES = frozenset({
+    "DeviationStats",
+    "EstimateResult",
+    "PlayRecord",
+    "estimate_value",
+    "sample_play",
+    "simulate_deviations",
+    "stream",
+})
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER_NAMES:
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SAMPLER_NAMES)
+
 
 __all__ = [
     "CapExceededError",

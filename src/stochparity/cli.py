@@ -18,7 +18,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, simulate
 from .chains import product_chain
 from .errors import (
     CapExceededError,
@@ -58,7 +58,6 @@ from .resets import (
     reset_transform,
     upper_value,
 )
-from .simulate import estimate_value, simulate_deviations, _stderr
 from .values import (
     Solution,
     check_value_equations,
@@ -393,7 +392,7 @@ def cmd_simulate(args) -> int:
     tau = _load_strategy(args.tau, g, Owner.MIN)
     if args.deviations:
         sol = solve_game(g, cap=args.cap)
-        stats = simulate_deviations(
+        stats = simulate.simulate_deviations(
             g,
             sigma,
             tau,
@@ -406,11 +405,11 @@ def cmd_simulate(args) -> int:
             workers=args.workers,
             cap=args.cap,
         )
-        estimate, stderr = stats.empirical_p, _stderr(stats.empirical_p, stats.n)
+        estimate, stderr = stats.empirical_p, simulate._stderr(stats.empirical_p, stats.n)
         truncated = stats.truncated
         histogram = {str(k): v for k, v in stats.histogram.items()}
     else:
-        res = estimate_value(
+        res = simulate.estimate_value(
             g,
             sigma,
             tau,

@@ -79,9 +79,12 @@ def format_rational(value: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-# each field set by its slot's setter, faster than a frozen __init__'s object.__setattr__
-@dataclass(frozen=True, slots=True)
+# each __init__ is the class's own, setting every field by its slot's setter,
+# faster than a frozen dataclass __init__'s object.__setattr__
+@dataclass(frozen=True, slots=True, init=False)
 class Vertex:
+    """A vertex of the arena: its id, its owner (Max, Min or Random), its priority."""
+
     id: str
     owner: Owner
     priority: int
@@ -92,8 +95,10 @@ class Vertex:
         _set_priority(self, priority)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
+    """A move from `src` to `dst`, with its exact probability if `src` is Random."""
+
     src: str
     dst: str
     prob: Union[Fraction, None] = None

@@ -44,6 +44,8 @@ from .game import (
 
 @dataclass(frozen=True, eq=True)
 class MealyStrategy:
+    """A strategy of `player` as a Mealy machine; see the module docstring."""
+
     player: Owner
     memory_states: tuple[str, ...]
     initial: str

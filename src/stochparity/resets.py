@@ -123,6 +123,12 @@ def _check_threshold(m) -> Fraction:
     return m
 
 
+def _cuts(vals: ValueMap, m: Fraction) -> dict[str, Fraction]:
+    """val(v) - m/2 at every vertex, the line deviation and reset compare quality to."""
+    half = m / 2
+    return {v: x - half for v, x in vals.items()}
+
+
 def deviation_date(
     g: GameGraph,
     sigma: MealyStrategy,
@@ -166,7 +172,7 @@ def deviation_states(
     """
     m = _check_threshold(m)
     q = _table(g, sigma, cap, quality)
-    cut = {v: x - m / 2 for v, x in vals.items()}
+    cut = _cuts(vals, m)
     return frozenset((v, mem) for (v, mem), x in q.items() if x <= cut[v])
 
 
@@ -290,7 +296,7 @@ def reset_transform(
         )
 
     q = _table(g, sigma, cap, quality)
-    cut = {v: x - m / 2 for v, x in vals.items()}
+    cut = _cuts(vals, m)
     reset_pairs = frozenset((v, mem) for (v, mem), x in q.items() if x < cut[v])
 
     def route(mem: str, v: str) -> str:

@@ -1537,6 +1537,38 @@ class TestNumpyOnlyForSampling:
         }
 
 
+# the exact commands above, then `simulate`; the module is registered from
+# the start, since per-layer tools look it up in sys.modules
+SAMPLER_ON_FIRST_USE_SCRIPT = EXACT_COMMANDS_SCRIPT + """
+import contextlib, io
+module = sys.modules["stochparity.simulate"]
+assert module is stochparity.simulate
+
+def sampler_ran():
+    return "estimate_value" in object.__getattribute__(module, "__dict__")
+
+exact = (sampler_ran(), "numpy" in sys.modules)
+open(d + "/t1.json", "w").write(serialize_strategy(fx.trivial_min(g1)))
+argv = ["simulate", d + "/g1.json", d + "/s1.json", d + "/t1.json", "--start", "a"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert stochparity.cli.main(argv) == 0, argv
+print(*exact, sampler_ran(), stochparity.estimate_value is stochparity.simulate.estimate_value)
+"""
+
+
+class TestSamplerLoadedOnFirstUse:
+    def test_only_simulate_runs_the_sampler_module(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", SAMPLER_ON_FIRST_USE_SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # solve, check, quality, verify and reset run neither the sampler nor
+        # numpy; simulate runs the sampler, which the package's names then read
+        assert proc.stdout.splitlines()[-1] == "False False True True"
+
+
 class TestExitStatus:
     # README "Command line": 1 check failure, 2 input error, 3 cap
     # exceeded, 4 precondition violated

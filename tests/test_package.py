@@ -16,8 +16,18 @@ def test_every_reexported_name_is_in_all():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    assert imported - set(stochparity.__all__) == set()
-    assert set(stochparity.__all__) <= set(vars(stochparity))
+    lazy = stochparity._SAMPLER_NAMES
+    assert (imported | lazy) - set(stochparity.__all__) == set()
+    # the eager names are bound at import, the sampler's are read from it
+    assert set(stochparity.__all__) <= set(vars(stochparity)) | lazy
+    for name in lazy:
+        assert getattr(stochparity, name) is getattr(stochparity.simulate, name)
+    # every name resolves, and a star import binds each to the same object
+    namespace = {}
+    exec("from stochparity import *", namespace)
+    assert {name: namespace[name] for name in stochparity.__all__} == {
+        name: getattr(stochparity, name) for name in stochparity.__all__
+    }
 
 
 def test_readme_quick_start_runs():
